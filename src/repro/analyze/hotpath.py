@@ -11,8 +11,7 @@ their reintroduction tomorrow.
 
 Mechanics: functions on the batch-kernel path ("hot" functions) are
 discovered by a BFS over the bare-name call graph from the kernel
-entry points (anything with a ``kernel=`` parameter, anything that
-constructs :class:`~repro.geometry.kernels.BatchKernel` or passes
+entry points (anything with a ``kernel=`` parameter or that passes
 ``kernel="batch"``, and every shape-annotated or ``# repro: hot-entry``
 function), with RPREFF002-style provenance chains.  Inside each hot
 function the rules run over the loop-depth-stamped CFG
@@ -36,7 +35,7 @@ function the rules run over the loop-depth-stamped CFG
     einsum/matmul/broadcast operands that *definitely* cannot agree
     under the inferred symbolic dims.
 ``RPRHOT006`` unaccounted batched sweep
-    A ``visible_blocks``/``orient_batch`` call in a function with no
+    A ``visible_flat``/``orient_batch`` call in a function with no
     work-span accounting marker, which would silently falsify E2/E13.
 
 The scalar exact-arithmetic ladder (``geometry/predicates.py``,
@@ -162,7 +161,7 @@ ALLOC_NP = frozenset({
 LIST_GROW = frozenset({"append", "extend", "insert"})
 
 #: batched sweep entry points that must be work-span accounted
-BATCH_SWEEPS = frozenset({"visible_blocks", "orient_batch"})
+BATCH_SWEEPS = frozenset({"visible_flat", "orient_batch"})
 
 #: presence of any of these names/attrs in a function counts as
 #: accounting for its sweeps
@@ -273,8 +272,6 @@ def _entry_reason(info: FunctionInfo, annotated: bool) -> str | None:
     if isinstance(node, ast.Lambda):
         return None
     for n in ast.walk(node):
-        if isinstance(n, ast.Name) and n.id == "BatchKernel":
-            return "constructs BatchKernel"
         if isinstance(n, ast.Call):
             for kw in n.keywords:
                 if kw.arg == "kernel" and isinstance(kw.value, ast.Constant) \

@@ -5,9 +5,7 @@ from .degenerate import CORPUS, DegenerateFamily, corpus_case, corpus_names
 from .hyperplane import Hyperplane
 from .kernels import (
     KERNEL_STATS,
-    BatchKernel,
     KernelStats,
-    SignCache,
     filter_scale,
     orient_batch,
 )
@@ -46,9 +44,7 @@ __all__ = [
     "corpus_names",
     "Hyperplane",
     "KERNEL_STATS",
-    "BatchKernel",
     "KernelStats",
-    "SignCache",
     "filter_scale",
     "orient_batch",
     "MergedFacet",

@@ -20,31 +20,30 @@ the very code path the scalar predicates use -- the differential suite
 under ``tests/differential/`` pins this down input class by input
 class, including the adversarial degenerate corpus.
 
-Three consumers:
+Consumers:
 
 * :func:`orient_batch` -- a standalone (F, d, d) x (Q, d) -> (F, Q)
   sign kernel, the differential-testing surface against scalar
   :func:`~repro.geometry.predicates.orient`;
-* :class:`BatchKernel` -- the hull-facing engine used by
-  :class:`~repro.hull.common.FacetFactory` when a hull is run with
-  ``kernel="batch"``: it sweeps ragged per-facet candidate blocks in
-  one flattened einsum and carries the per-run sign cache;
-* :class:`SignCache` -- visibility decisions keyed by (facet identity,
-  point rank).  Facet identity is the sorted defining-index tuple (the
-  creation ``fid`` is *not* stable across chaos rollbacks, which is
-  precisely when a facet is re-created with the same geometry and the
-  cache pays off).
+* :func:`batch_planes`, :func:`gather_segments` and
+  :func:`visible_flat` -- the building blocks of the conflict-list SoA
+  engine (:mod:`repro.hull.soa`, ``engine="soa"``), which decides a
+  whole round's (facet x conflict point) stream in one flat sweep.
+
+Each hull engine runs exactly one visibility kernel: the object
+engines (``engine="objects"``) the per-facet scalar
+:meth:`~repro.geometry.hyperplane.Hyperplane.visible_mask` oracle, the
+SoA engine the flat sweep here.
 
 Counters land in :data:`KERNEL_STATS` (module-global, mirroring
-``predicates.STATS``) and per-factory in ``exec_stats`` so experiment
-logs can report batched-sweep counts, filter-fallback rates, and cache
-hit rates.
+``predicates.STATS``) and per-engine in ``exec_stats`` so experiment
+logs can report batched-sweep counts and filter-fallback rates.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -60,8 +59,6 @@ __all__ = [
     "orient_batch",
     "gather_segments",
     "visible_flat",
-    "SignCache",
-    "BatchKernel",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -103,19 +100,16 @@ class KernelStats:
 
     ``batched_signs`` counts every sign decided by a batched sweep
     (float-certain *or* escalated); ``fallbacks`` the subset that fell
-    through the float filter to the exact ladder; ``cache_hits`` /
-    ``cache_misses`` the :class:`SignCache` outcomes.  Reads are exact
-    at quiescent points, as with ``predicates.STATS``.
+    through the float filter to the exact ladder.  Reads are exact at
+    quiescent points, as with ``predicates.STATS``.
     """
 
-    __slots__ = ("_sweeps", "_signs", "_fallbacks", "_hits", "_misses")
+    __slots__ = ("_sweeps", "_signs", "_fallbacks")
 
     def __init__(self) -> None:
         self._sweeps = ShardedCounter()
         self._signs = ShardedCounter()
         self._fallbacks = ShardedCounter()
-        self._hits = ShardedCounter()
-        self._misses = ShardedCounter()
 
     def count_sweep(self, signs: int, fallbacks: int) -> None:
         self._sweeps.add(1)
@@ -123,12 +117,6 @@ class KernelStats:
             self._signs.add(signs)
         if fallbacks:
             self._fallbacks.add(fallbacks)
-
-    def count_cache(self, hits: int, misses: int) -> None:
-        if hits:
-            self._hits.add(hits)
-        if misses:
-            self._misses.add(misses)
 
     @property
     def batched_sweeps(self) -> int:
@@ -142,20 +130,11 @@ class KernelStats:
     def fallbacks(self) -> int:
         return self._fallbacks.value
 
-    @property
-    def cache_hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def cache_misses(self) -> int:
-        return self._misses.value
-
     def fallback_rate(self) -> float:
         return self.fallbacks / max(1, self.batched_signs)
 
     def reset(self) -> None:
-        for c in (self._sweeps, self._signs, self._fallbacks,
-                  self._hits, self._misses):
+        for c in (self._sweeps, self._signs, self._fallbacks):
             c.reset()
 
     def snapshot(self) -> dict[str, int]:
@@ -163,8 +142,6 @@ class KernelStats:
             "batched_sweeps": self.batched_sweeps,
             "batched_signs": self.batched_signs,
             "fallbacks": self.fallbacks,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
         }
 
 
@@ -417,201 +394,3 @@ def visible_flat(
             ranks=ranks, owner=owner, pts_flat=pts_flat,
             margins=margins, env=env, mask=mask)
     return mask
-
-
-class SignCache:
-    """Per-run visibility decisions keyed by (facet identity, rank).
-
-    A facet's identity is its sorted defining-index tuple; the value per
-    facet is the ``(candidates, visible)`` pair of its last creation,
-    both ascending-index aligned arrays.  Lookups intersect the new
-    candidate array with the cached one via ``searchsorted`` (both are
-    ascending), so a rollback-re-created facet reuses every previously
-    decided sign without a per-point Python loop.
-
-    CPython dict get/set are atomic under the GIL; entries are
-    immutable-once-stored arrays, so concurrent readers under
-    ThreadExecutor see either the whole entry or none of it.
-    """
-
-    __slots__ = ("_entries", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self.hits = ShardedCounter()
-        self.misses = ShardedCounter()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(
-        self, indices: tuple[int, ...], candidates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Split ``candidates`` into (cached-visibility, need-compute).
-
-        Returns ``(known, mask_known)`` where ``known`` is a boolean
-        array marking candidates answered from the cache and
-        ``mask_known`` their visibility; entries not covered must be
-        computed (and later stored with :meth:`store`).
-        """
-        known = np.zeros(candidates.shape[0], dtype=bool)
-        vis = np.zeros(candidates.shape[0], dtype=bool)
-        entry = self._entries.get(indices)
-        if entry is not None and candidates.size:
-            cached_cands, cached_vis = entry
-            pos = np.searchsorted(cached_cands, candidates)
-            pos_ok = pos < cached_cands.shape[0]
-            safe = np.where(pos_ok, pos, 0)
-            match = pos_ok & (cached_cands[safe] == candidates)
-            known = match
-            vis[match] = cached_vis[safe[match]]
-        n_hit = int(known.sum())
-        if n_hit:
-            self.hits.add(n_hit)
-        n_miss = int(candidates.shape[0]) - n_hit
-        if n_miss:
-            self.misses.add(n_miss)
-        KERNEL_STATS.count_cache(n_hit, n_miss)
-        return known, vis
-
-    def store(
-        self, indices: tuple[int, ...], candidates: np.ndarray, visible: np.ndarray
-    ) -> None:
-        """Record the full (candidates, visibility) outcome of one facet
-        creation (candidates ascending)."""
-        self._entries[indices] = (
-            np.ascontiguousarray(candidates),
-            np.ascontiguousarray(visible),
-        )
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "cache_hits": self.hits.value,
-            "cache_misses": self.misses.value,
-        }
-
-
-class BatchKernel:
-    """The hull-facing batched visibility engine.
-
-    One instance per :class:`~repro.hull.common.FacetFactory`; it owns
-    the rank-ordered point array, the per-run :class:`SignCache`, and
-    per-instance counters (surfaced through ``exec_stats``).  The core
-    entry point :meth:`visible_blocks` takes already-built
-    :class:`~repro.geometry.hyperplane.Hyperplane` objects -- the plane
-    (and therefore the orientation and the error envelope) is *shared*
-    with the scalar path, which is what makes the two paths decide the
-    same question with the same fallback set.
-    """
-
-    def __init__(self, pts: np.ndarray, cache: bool = True):
-        self.pts = np.asarray(pts, dtype=np.float64)
-        self.cache = SignCache() if cache else None
-        self.stats = KernelStats()
-
-    def snapshot(self) -> dict[str, int]:
-        snap = self.stats.snapshot()
-        snap["cache_entries"] = 0 if self.cache is None else len(self.cache)
-        return snap
-
-    def visible_blocks(
-        self,
-        planes: Sequence,
-        indices_list: Sequence[tuple[int, ...]],
-        cand_list: Sequence[np.ndarray],
-    ) -> list[np.ndarray]:
-        """Visibility masks for a ragged (facet x candidates) block.
-
-        ``planes[k]`` is the oriented hyperplane of facet ``k``,
-        ``indices_list[k]`` its sorted defining-index tuple (the cache
-        key), ``cand_list[k]`` its ascending candidate-rank array.
-        Returns one boolean mask per facet, elementwise equal to
-        ``planes[k].visible_mask(pts[cand_list[k]], indices=cand_list[k])``.
-        """
-        # repro: shape: flat=(M,):int64, pts_flat=(M,d):float64
-        # repro: shape: margins=(M,):float64, env=(M,):float64
-        # repro: shape: normals=(S,d):float64, offsets=(S,):float64
-        nf = len(planes)
-        masks: list[np.ndarray] = [None] * nf  # type: ignore[list-item]
-        # Cache phase + partition: always-exact planes cannot use the
-        # float sweep (their normal carries no trustworthy sign) and go
-        # straight to the scalar ladder, exactly like visible_mask.
-        todo_cands: list[np.ndarray] = []     # residual work per facet
-        todo_local: list[np.ndarray] = []     # positions inside the mask
-        sweep_rows: list[int] = []            # facet positions in the einsum
-        for k, (plane, idx, cands) in enumerate(zip(planes, indices_list, cand_list)):
-            cands = np.asarray(cands, dtype=np.int64)
-            mask = np.zeros(cands.shape[0], dtype=bool)
-            masks[k] = mask
-            if not cands.size:
-                todo_cands.append(cands)
-                todo_local.append(np.zeros(0, dtype=np.int64))
-                continue
-            if self.cache is not None:
-                known, vis = self.cache.lookup(idx, cands)
-                mask[known] = vis[known]
-                local = np.nonzero(~known)[0].astype(np.int64)
-            else:
-                local = np.arange(cands.shape[0], dtype=np.int64)
-            if local.size and plane.always_exact:
-                # Scalar ladder for the whole block (counted as
-                # fallbacks: no float sign exists for these planes).
-                for i in local:  # repro: noqa: RPRHOT001
-                    r = int(cands[i])
-                    mask[i] = plane._side_exact(self.pts[r], r) > 0  # repro: noqa: RPRHOT002
-                self.stats.count_sweep(int(local.size), int(local.size))
-                KERNEL_STATS.count_sweep(int(local.size), int(local.size))
-                local = np.zeros(0, dtype=np.int64)
-            todo_cands.append(cands[local] if local.size else np.zeros(0, np.int64))
-            todo_local.append(local)
-            if local.size:
-                sweep_rows.append(k)
-        total = sum(int(todo_cands[k].size) for k in sweep_rows)
-        if total:
-            # Flattened einsum sweep over every residual (facet, point)
-            # pair: gather the points once, one fused multiply-reduce,
-            # one envelope comparison.
-            sizes = [int(todo_cands[k].size) for k in sweep_rows]
-            facet_of = np.repeat(np.arange(len(sweep_rows)), sizes)
-            flat = np.concatenate([todo_cands[k] for k in sweep_rows])
-            normals = np.stack([planes[k].normal for k in sweep_rows])
-            offsets = np.array([planes[k].offset for k in sweep_rows])
-            e_scale = np.array([planes[k].err_scale for k in sweep_rows])
-            e_base = np.array([planes[k].err_base for k in sweep_rows])
-            pts_flat = self.pts[flat]                         # (M, d)
-            margins = (
-                np.einsum("md,md->m", pts_flat, normals[facet_of])
-                - offsets[facet_of]
-            )
-            env = _FILTER_SCALE * e_scale[facet_of] * (
-                e_base[facet_of] + np.abs(pts_flat).max(axis=1)
-            )
-            flat_mask = margins > env
-            uncertain = np.abs(margins) <= env
-            STATS.count_float(total)
-            n_fall = int(uncertain.sum())
-            if n_fall:
-                # Envelope-ambiguous entries only: the by-design
-                # per-element exact ladder, as in orient_batch.
-                for m in np.nonzero(uncertain)[0]:  # repro: noqa: RPRHOT001
-                    k = sweep_rows[int(facet_of[m])]
-                    r = int(flat[m])
-                    flat_mask[m] = planes[k]._side_exact(self.pts[r], r) > 0  # repro: noqa: RPRHOT002
-            self.stats.count_sweep(total, n_fall)
-            KERNEL_STATS.count_sweep(total, n_fall)
-            observe("repro.geometry.kernels.BatchKernel.visible_blocks",
-                    flat=flat, pts_flat=pts_flat, margins=margins,
-                    env=env, normals=normals, offsets=offsets)
-            # Scatter back per facet.
-            off = 0
-            for pos, k in enumerate(sweep_rows):
-                sz = sizes[pos]
-                masks[k][todo_local[k]] = flat_mask[off:off + sz]
-                off += sz
-        if self.cache is not None:
-            for k, (idx, cands) in enumerate(zip(indices_list, cand_list)):
-                cands = np.asarray(cands, dtype=np.int64)
-                if cands.size:
-                    self.cache.store(idx, cands, masks[k])
-        return masks

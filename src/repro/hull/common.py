@@ -7,6 +7,15 @@ array), facets built against a fixed interior reference point, and
 conflict sets stored as ascending ``int64`` index arrays so that the hot
 "filter the visible candidates" loop is one vectorized hyperplane
 evaluation.
+
+Each engine runs exactly one visibility kernel, so ``kernel=`` names
+the engine's own kernel or wraps it in noise -- it never picks a second
+path.  ``engine="objects"`` (the sequential, parallel and point-parallel
+drivers built on :class:`FacetFactory`) runs the scalar per-facet
+oracle, ``"scalar"``; ``engine="soa"`` (:mod:`repro.hull.soa`) runs the
+flat ``visible_flat`` sweep, ``"batch"``.  ``kernel=None`` means the
+engine's own kernel, and a :class:`~repro.geometry.noisy.NoisyKernel`
+flips that kernel's answers after the true mask exists.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ import numpy as np
 
 from ..analyze.shapes import observe
 from ..geometry.hyperplane import Hyperplane
-from ..geometry.kernels import BatchKernel
 from ..geometry.noisy import NoisyKernel
 from ..geometry.perturb import sos_active
 from ..geometry.simplex import Facet
@@ -26,7 +34,9 @@ from ..runtime.atomics import Mutex
 
 __all__ = [
     "Counters",
+    "ENGINE_KERNELS",
     "HullSetupError",
+    "engine_noise",
     "prepare_points",
     "initial_simplex_ranks",
     "promote_initial",
@@ -36,6 +46,33 @@ __all__ = [
 
 class HullSetupError(ValueError):
     """Raised when the input cannot seed a full-dimensional hull."""
+
+
+#: The one visibility kernel each engine runs.
+ENGINE_KERNELS = {"objects": "scalar", "soa": "batch"}
+
+
+def engine_noise(engine: str, kernel: str | NoisyKernel | None) -> NoisyKernel | None:
+    """Check a ``kernel=`` argument against ``engine``; return the noise
+    layer it asks for, or None for the engine's own kernel.
+
+    Accepted: None, the engine's own kernel name, or a
+    :class:`~repro.geometry.noisy.NoisyKernel`.  Any other string raises
+    a ValueError naming the engine that runs it.
+    """
+    if engine not in ENGINE_KERNELS:
+        raise ValueError(f"unknown engine {engine!r}; use 'objects' or 'soa'")
+    if kernel is None or isinstance(kernel, NoisyKernel):
+        return kernel
+    own = ENGINE_KERNELS[engine]
+    if kernel == own:
+        return None
+    runs = [e for e, k in ENGINE_KERNELS.items() if k == kernel]
+    where = (f"kernel {kernel!r} runs on engine={runs[0]!r}" if runs
+             else f"unknown kernel {kernel!r}")
+    raise ValueError(
+        f"{where}; engine={engine!r} runs {own!r} or a NoisyKernel"
+    )
 
 
 @dataclass
@@ -193,27 +230,18 @@ class FacetFactory:
     centroid of the initial simplex, strictly inside every intermediate
     hull) and the work counters.
 
-    ``kernel`` picks the visibility engine: ``"scalar"`` (the default
-    oracle -- one :meth:`Hyperplane.visible_mask` call per facet) or
-    ``"batch"`` (the :class:`~repro.geometry.kernels.BatchKernel`:
-    candidate blocks of many facets are swept in one einsum, uncertain
-    entries escalate to the same exact ladder, and decisions are cached
-    per (facet identity, rank)).  A
-    :class:`~repro.geometry.noisy.NoisyKernel` instance is also
-    accepted: its ``base`` names one of the two engines above, whose
-    *true* masks are then perturbed by the seeded lying oracle before
-    conflict sets are built (the sign cache, when active, stores true
-    signs -- noise is a deterministic re-application, so caching does
-    not accidentally de-noise or double-noise a decision).  Work
-    accounting is kernel-invariant: ``counters.visibility_tests``
-    counts scalar-equivalent *questions* either way (vote repetitions
-    land in the noisy kernel's own counters), so E2/E13 comparisons are
-    unaffected by the engine choice.
+    Visibility is the object engines' one kernel, the scalar oracle:
+    one :meth:`Hyperplane.visible_mask` call per facet.  ``kernel``
+    accepts ``"scalar"``, None, or a
+    :class:`~repro.geometry.noisy.NoisyKernel`, whose seeded lying
+    oracle perturbs the true masks before conflict sets are built.
+    Work accounting counts scalar-equivalent *questions* either way
+    (vote repetitions land in the noisy kernel's own counters).
     """
 
     def __init__(self, pts: np.ndarray, interior: np.ndarray, counters: Counters,
                  interior_ranks: tuple[int, ...] | None = None,
-                 kernel: str | NoisyKernel = "scalar"):
+                 kernel: str | NoisyKernel | None = None):
         self.pts = pts
         self.interior = np.asarray(interior, dtype=np.float64)
         self.counters = counters
@@ -225,23 +253,14 @@ class FacetFactory:
         self._interior_combo = (pts[list(interior_ranks)], interior_ranks)
         self._mutex = Mutex()
         self._next_fid = 0
-        self.noisy = kernel if isinstance(kernel, NoisyKernel) else None
-        kernel = self.noisy.base if self.noisy is not None else kernel
-        if kernel not in ("scalar", "batch"):
-            raise ValueError(f"unknown kernel {kernel!r}; use 'scalar' or 'batch'")
-        self.kernel = kernel
-        self.batch_kernel = BatchKernel(pts) if kernel == "batch" else None
+        self.noisy = engine_noise("objects", kernel)
 
     def kernel_snapshot(self) -> dict:
-        """Kernel counters for ``exec_stats`` (empty-ish for scalar)."""
-        snap: dict = {"kernel": self.kernel}
-        if self.batch_kernel is not None:
-            snap.update(self.batch_kernel.snapshot())
-            if self.batch_kernel.cache is not None:
-                snap.update(self.batch_kernel.cache.snapshot())
-        if self.noisy is not None:
-            snap["kernel"] = f"noisy[{self.kernel}]"
-            snap.update(self.noisy.snapshot())
+        """Kernel provenance for ``exec_stats``."""
+        if self.noisy is None:
+            return {"kernel": "scalar"}
+        snap: dict = {"kernel": "noisy[scalar]"}
+        snap.update(self.noisy.snapshot())
         return snap
 
     def _plane_for(self, indices: tuple[int, ...]) -> Hyperplane:
@@ -280,14 +299,8 @@ class FacetFactory:
         self, specs: list[tuple[tuple[int, ...], np.ndarray]]
     ) -> list[Facet]:
         """Build several facets at once; ``specs`` is a list of
-        ``(indices, candidates)`` pairs.
-
-        With ``kernel="batch"`` every candidate block in the call is
-        evaluated in one flattened einsum sweep (plus the shared exact
-        fallback); with ``kernel="scalar"`` each facet runs its own
-        :meth:`Hyperplane.visible_mask`.  Facet ids are allocated in
-        spec order, so the two engines produce identical runs.
-        """
+        ``(indices, candidates)`` pairs.  Facet ids are allocated in
+        spec order."""
         # Canonicalize to sorted rank order *before* building the plane,
         # so plane.base_points rows always match Facet.indices -- the
         # orientation sign a certificate claims is then well-defined
@@ -300,18 +313,15 @@ class FacetFactory:
             for idx, (_, cands) in zip(idx_list, specs)
         ]
         n_tests = sum(int(c.size) for c in cand_list)
-        if self.batch_kernel is not None:
-            masks = self.batch_kernel.visible_blocks(planes, idx_list, cand_list)
-        else:
-            masks = [
-                plane.visible_mask(self.pts[cands], indices=cands)
-                if cands.size else np.zeros(0, dtype=bool)
-                for plane, cands in zip(planes, cand_list)
-            ]
+        masks = [
+            plane.visible_mask(self.pts[cands], indices=cands)
+            if cands.size else np.zeros(0, dtype=bool)
+            for plane, cands in zip(planes, cand_list)
+        ]
         if self.noisy is not None:
-            # Perturb *after* the true masks exist: both engines (and the
-            # sign cache) stay exact underneath, and the flip for a given
-            # (facet, rank) site is the same whichever engine computed it.
+            # Perturb *after* the true masks exist: the kernel stays
+            # exact underneath, and the flip for a given (facet, rank)
+            # site is the same whichever engine computed it.
             masks = self.noisy.noisy_masks(idx_list, cand_list, masks)
         with self._mutex:
             fid0 = self._next_fid

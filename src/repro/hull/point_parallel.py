@@ -59,7 +59,7 @@ def point_parallel_hull(
     points: np.ndarray,
     order: np.ndarray | None = None,
     seed: int | None = None,
-    kernel: str | NoisyKernel = "scalar",
+    kernel: str | NoisyKernel | None = None,
 ) -> PointParallelResult:
     """Bulk-synchronous point-parallel incremental hull.
 

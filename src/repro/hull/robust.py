@@ -48,6 +48,7 @@ from ..geometry.hyperplane import exact_mode
 from ..geometry.noisy import NoisyKernel
 from ..geometry.perturb import sos_mode
 from .certify import CertificateError, HullCertificate, make_certificate, verify_certificate
+from .common import engine_noise
 from .joggle import JoggledHull, joggled_hull
 from .parallel import ParallelHullRun, parallel_hull
 from .validate import HullValidationError, validate_hull
@@ -129,6 +130,9 @@ def robust_hull(
     catch list so genuine bugs still surface.
     """
     points = np.asarray(points, dtype=np.float64)
+    # A bad engine/kernel pair is a caller error: check it here, before
+    # the ladder could mistake its ValueError for a degenerate input.
+    engine_noise(hull_kwargs.get("engine", "objects"), hull_kwargs.get("kernel"))
     escalations: list[str] = []
     rung_attempts: dict[str, int] = {}
 

@@ -69,45 +69,11 @@ class SequentialHullResult:
         return {f.key() for f in self.created}
 
 
-def _soa_sequential_run(
-    points: np.ndarray,
-    order: np.ndarray | None,
-    seed: int | None,
-    kernel: str | NoisyKernel,
-) -> SequentialHullResult:
-    """Run the conflict-list SoA engine and adapt it into a
-    :class:`SequentialHullResult` (determinism makes the created-facet
-    multiset and conflict sets identical to Algorithm 2's; a facet's
-    creation step is the insertion rank of its conflict pivot)."""
-    from .soa import SoAHullEngine  # local: soa imports this module
-
-    eng = SoAHullEngine(points, order=order, seed=seed, kernel=kernel)
-    while eng.step_round():
-        pass
-    run = eng.finish()
-    created = [eng._facet_of(fid) for fid in range(eng.store.size)]
-    d = run.dimension
-    creation_step = {
-        fid: (d if p < 0 else int(p))
-        for fid, p in enumerate(run.pivot_points)
-    }
-    return SequentialHullResult(
-        points=run.points,
-        order=run.order,
-        facets=[f for f in created if f.alive],
-        created=created,
-        creation_step=creation_step,
-        counters=run.counters,
-        interior=run.interior,
-    )
-
-
 def sequential_hull(
     points: np.ndarray,
     order: np.ndarray | None = None,
     seed: int | None = None,
-    kernel: str | NoisyKernel = "scalar",
-    engine: str = "objects",
+    kernel: str | NoisyKernel | None = None,
 ) -> SequentialHullResult:
     """Run Algorithm 2 on ``points``.
 
@@ -120,29 +86,13 @@ def sequential_hull(
         Explicit insertion order (a permutation of ``range(n)``); random
         when omitted, drawn from ``seed``.
     kernel:
-        Visibility engine: ``"scalar"`` (the per-facet oracle) or
-        ``"batch"`` (every insertion step's new facets share one
-        einsum sweep; see :mod:`repro.geometry.kernels`).  The two
-        engines produce identical facets, conflicts, and counters.  A
-        :class:`~repro.geometry.noisy.NoisyKernel` perturbs its base
-        engine's visibility answers at a seeded flip rate (see
-        :mod:`repro.geometry.noisy`).
-    engine:
-        ``"objects"`` (this module's per-insertion driver, the scalar
-        oracle of the differential suites) or ``"soa"`` (the
-        round-vectorized conflict-list engine of
-        :mod:`repro.hull.soa`, adapted back into a
-        :class:`SequentialHullResult`).  Note the SoA adaptation keeps
-        the *intrinsic* quantities identical (created facets, conflict
-        sets, ``visibility_tests``/``facets_created``); the
-        order-dependent ridge counters it also fills
-        (``ridges_processed``, ``flips``, ...) have no Algorithm 2
-        counterpart.
+        The scalar per-facet oracle (``"scalar"`` or None), or a
+        :class:`~repro.geometry.noisy.NoisyKernel` that perturbs its
+        visibility answers at a seeded flip rate (see
+        :mod:`repro.geometry.noisy`).  This driver is the scalar oracle
+        of the differential suites; the fast engine is
+        :func:`repro.hull.soa.soa_hull`.
     """
-    if engine == "soa":
-        return _soa_sequential_run(points, order, seed, kernel)
-    if engine != "objects":
-        raise ValueError(f"unknown engine {engine!r}; use 'objects' or 'soa'")
     pts, order = prepare_points(points, order, seed)
     n, d = pts.shape
     init = initial_simplex_ranks(pts)
@@ -189,8 +139,7 @@ def sequential_hull(
                     del inverse[int(v)]
 
     # Bootstrap simplex: every d-subset of the first d+1 points is a
-    # facet.  One make_batch call: with kernel="batch" all d+1 conflict
-    # sets come out of a single einsum sweep.
+    # facet, made in one make_batch call.
     first = list(range(d + 1))
     boot = factory.make_batch([
         (tuple(i for i in first if i != leave_out), all_later)
@@ -206,9 +155,9 @@ def sequential_hull(
             continue  # v is inside the current hull
         visible = {fid: facets[fid] for fid in visible_ids}
         # Horizon: ridges with exactly one incident facet visible from v.
-        # Specs are collected first so the whole insertion step is one
-        # batched sweep under kernel="batch" (the facet x candidate
-        # block of Theorem 5.4's per-step work).
+        # Specs are collected first so the whole insertion step (the
+        # facet x candidate block of Theorem 5.4's per-step work) is one
+        # make_batch call.
         specs: list[tuple[tuple[int, ...], np.ndarray]] = []
         for fid, t1 in visible.items():
             for r in facet_ridges(t1.indices):

@@ -68,7 +68,7 @@ def run_summary(run) -> dict[str, Any]:
             },
         },
         # Visibility-kernel provenance (batched sweeps, filter
-        # fallbacks, sign-cache hits); {"kernel": "scalar"} by default.
+        # fallbacks); {"kernel": "scalar"} by default.
         "kernel": kernel_stats,
         "noise": noise or None,
         "depth": int(run.dependence_depth()),

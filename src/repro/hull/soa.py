@@ -73,18 +73,18 @@ the round's summed cleaned-candidate cost, so ``tracker.work`` equals
 ``counters.visibility_tests`` and the span reflects the
 round-synchronous schedule.
 
-``kernel="batch"`` (the default) runs the flat fast path above;
-``kernel="scalar"`` or a :class:`~repro.geometry.noisy.NoisyKernel`
-routes facet creation through the shared
-:class:`~repro.hull.common.FacetFactory` (same fid order, same
-counters), which keeps the noisy-oracle ladder semantics intact and
-makes a p=0 noisy run bit-identical to the unwrapped engine.
+The flat sweep is this engine's one kernel (``kernel="batch"``, the
+default).  A :class:`~repro.geometry.noisy.NoisyKernel` flips its
+answers at the mask level: one ``noisy_masks`` call on the round's
+flat ``(owner, vals, vis)`` stream, grouped by owner, right after
+:func:`~repro.geometry.kernels.visible_flat`.  Sites are keyed by
+(facet, rank), so the object engines draw the same flips for the same
+question, and a p=0 noisy run is bit-identical to the unwrapped engine.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -105,8 +105,8 @@ from ..runtime.executors import ExecutionStats
 from ..runtime.workspan import WorkSpanTracker
 from .common import (
     Counters,
-    FacetFactory,
     HullSetupError,
+    engine_noise,
     initial_simplex_ranks,
     prepare_points,
     promote_initial,
@@ -116,13 +116,6 @@ __all__ = ["SoAHullEngine", "SoAHullRun", "soa_hull"]
 
 _INF = np.iinfo(np.int64).max
 
-_PLANE_OF = operator.attrgetter("plane")
-_NORMAL_OF = operator.attrgetter("plane.normal")
-_OFFSET_OF = operator.attrgetter("plane.offset")
-_ESCALE_OF = operator.attrgetter("plane.err_scale")
-_EBASE_OF = operator.attrgetter("plane.err_base")
-_EXACT_OF = operator.attrgetter("plane.always_exact")
-_CONFLICTS_OF = operator.attrgetter("conflicts")
 _INDICES_OF = operator.attrgetter("indices")
 
 
@@ -369,9 +362,10 @@ class SoAHullEngine:
         points: np.ndarray,
         order: np.ndarray | None = None,
         seed: int | None = None,
-        kernel: str | NoisyKernel = "batch",
+        kernel: str | NoisyKernel | None = None,
         base_size: int | None = None,
     ):
+        noisy = engine_noise("soa", kernel)
         pts, order = prepare_points(points, order, seed)
         n, d = pts.shape
         if base_size is None:
@@ -394,21 +388,6 @@ class SoAHullEngine:
         self._interior_combo = (pts[list(combo)], combo)
         self.kstats = KernelStats()
 
-        noisy = kernel if isinstance(kernel, NoisyKernel) else None
-        if noisy is None and kernel not in ("scalar", "batch"):
-            raise ValueError(
-                f"unknown kernel {kernel!r}; use 'scalar', 'batch', or a "
-                "NoisyKernel"
-            )
-        # The flat fast path needs no FacetFactory at all; the scalar
-        # and noisy modes delegate facet creation to the shared factory
-        # (identical fid order and counters), which is what makes a p=0
-        # noisy SoA run bit-identical to the unwrapped engine.
-        self.factory = (
-            None if (noisy is None and kernel == "batch")
-            else FacetFactory(pts, self.interior, self.counters, kernel=kernel)
-        )
-        self.kernel = "batch" if self.factory is None else self.factory.kernel
         self.noisy = noisy
         # The <=2-registrations ridge invariant is a theorem of the
         # noise-free algorithm; a lying oracle can genuinely violate it.
@@ -496,10 +475,7 @@ class SoAHullEngine:
         one visibility sweep, prefix-sum partition into the pool.
         Returns the first new fid."""
         k = int(new_idx.shape[0])
-        if self.factory is not None:
-            surv_vals, surv_owner, cols = self._facets_via_factory(new_idx, vals, owner, blocks)
-        else:
-            surv_vals, surv_owner, cols = self._facets_flat(new_idx, vals, owner, blocks)
+        surv_vals, surv_owner, cols = self._facets_flat(new_idx, vals, owner, blocks)
         normals, offsets, e_scale, e_base, exact_rows = cols
 
         lens = np.bincount(surv_owner, minlength=k)
@@ -516,12 +492,10 @@ class SoAHullEngine:
             conf_len=lens, support=support, pivot_point=pivot_point,
             round_created=self.round,
         )
-        if self.factory is not None and self.factory.fid_checkpoint() != self.store.size:
-            raise AssertionError("factory fid allocation out of sync with SoA store")
         return fid0
 
     def _facets_flat(self, new_idx, vals, owner, blocks):
-        """The flat fast path: batch planes + one flat einsum sweep."""
+        """Batch planes + one flat einsum sweep (+ the noise layer)."""
         # The filter boundary of the flat path: the orientation margin
         # below must clear the same committed envelope as
         # Hyperplane.through, with the plane bounds flowing out of the
@@ -572,6 +546,14 @@ class SoAHullEngine:
             force_exact=exact_rows, plane_for=plane_for, stats=self.kstats,
             pts_inf=self._pts_inf,
         )
+        if self.noisy is not None:
+            # Flip answers after the true mask exists, one facet's block
+            # at a time (vals are grouped by owner, ascending).
+            bounds = np.cumsum(blocks)[:-1]
+            vis = np.concatenate(self.noisy.noisy_masks(
+                list(map(tuple, new_idx.tolist())),
+                np.split(vals, bounds), np.split(vis, bounds),
+            ))
         self.counters.visibility_tests += int(vals.shape[0])
         self.counters.facets_created += k
         # Persist the scalar-ladder planes of always-exact rows so later
@@ -582,44 +564,6 @@ class SoAHullEngine:
                 map(row_planes.__getitem__, ks.tolist()))
         )
         return vals[vis], owner[vis], (normals, offsets, e_scale, e_base, exact_rows)
-
-    def _facets_via_factory(self, new_idx, vals, owner, blocks):
-        """The compatibility path: delegate facet creation to the shared
-        FacetFactory (scalar sweeps, batch kernel with sign cache, or
-        the noisy lying oracle), then ingest the resulting columns."""
-        k = int(new_idx.shape[0])
-        d = self.d
-        bounds = np.cumsum(blocks)[:-1]
-        specs = list(zip(map(tuple, new_idx.tolist()), np.split(vals, bounds)))
-        fs = self.factory.make_batch(specs)
-        fid0 = self.store.size
-        if fs and fs[0].fid != fid0:
-            raise AssertionError("factory fid allocation out of sync with SoA store")
-        if not fs:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, (
-                np.zeros((0, d)), np.zeros(0), np.zeros(0), np.zeros(0),
-                np.zeros(0, dtype=bool),
-            )
-        normals = np.stack(list(map(_NORMAL_OF, fs)))
-        offsets = np.fromiter(map(_OFFSET_OF, fs), np.float64, count=k)
-        e_scale = np.fromiter(map(_ESCALE_OF, fs), np.float64, count=k)
-        e_base = np.fromiter(map(_EBASE_OF, fs), np.float64, count=k)
-        exact_rows = np.fromiter(map(_EXACT_OF, fs), bool, count=k)
-        self._exact_planes.update(
-            itertools.compress(
-                zip(range(fid0, fid0 + k), map(_PLANE_OF, fs)),
-                exact_rows.tolist(),
-            )
-        )
-        conf_list = list(map(_CONFLICTS_OF, fs))
-        surv_vals = (np.concatenate(conf_list) if conf_list
-                     else np.zeros(0, dtype=np.int64))
-        surv_owner = np.repeat(
-            np.arange(k, dtype=np.int64),
-            np.fromiter(map(np.size, conf_list), np.int64, count=k),
-        )
-        return surv_vals, surv_owner, (normals, offsets, e_scale, e_base, exact_rows)
 
     # -- ridge pairing (the multimap M, per round) -------------------------
 
@@ -853,7 +797,7 @@ class SoAHullEngine:
 
     def snapshot(self) -> dict:
         """Byte-exact state capture: arrays are copied, counters and
-        stats snapshotted, tracker/factory marks recorded."""
+        stats snapshotted, the tracker mark recorded."""
         return {
             "store": self.store.snapshot(),
             "pool": (self.pool.view().copy(), self.pool.end),
@@ -869,14 +813,12 @@ class SoAHullEngine:
             "exact_planes": dict(self._exact_planes),
             "tracker_mark": self.tracker.checkpoint(),
             "last_tid": self._last_tid,
-            "fid_mark": None if self.factory is None
-            else self.factory.fid_checkpoint(),
         }
 
     def restore(self, snap: dict) -> None:
         """Rewind to a :meth:`snapshot` (the chaos-rollback contract:
         a rolled-back round leaves no trace, including work accounting
-        and fid allocation)."""
+        and fid allocation: fids are store rows)."""
         self.store.restore(snap["store"])
         buf, end = snap["pool"]
         self.pool.end = 0
@@ -899,19 +841,16 @@ class SoAHullEngine:
         self._exact_planes = dict(snap["exact_planes"])
         self.tracker.rollback(snap["tracker_mark"])
         self._last_tid = snap["last_tid"]
-        if self.factory is not None:
-            self.factory.fid_rollback(snap["fid_mark"])
         self._finished = False
 
     # -- termination -------------------------------------------------------
 
     def _kernel_snapshot(self) -> dict:
-        if self.factory is not None:
-            snap = self.factory.kernel_snapshot()
-            snap["engine"] = "soa"
-            return snap
         snap = {"kernel": "soa[batch]", "engine": "soa"}
         snap.update(self.kstats.snapshot())
+        if self.noisy is not None:
+            snap["kernel"] = "noisy[soa[batch]]"
+            snap.update(self.noisy.snapshot())
         return snap
 
     def finish(self) -> SoAHullRun:
@@ -947,7 +886,7 @@ def soa_hull(
     points: np.ndarray,
     order: np.ndarray | None = None,
     seed: int | None = None,
-    kernel: str | NoisyKernel = "batch",
+    kernel: str | NoisyKernel | None = None,
     base_size: int | None = None,
 ) -> SoAHullRun:
     """Run the conflict-list SoA engine to completion.

@@ -66,9 +66,9 @@ class ExecutionStats:
     quarantined: int = 0         # chunks poisoned out after max retries
     duplicates_dropped: int = 0  # duplicate/stale result messages ignored
     heartbeats: int = 0          # heartbeat messages observed
-    # Visibility-kernel counters (batched sweeps, filter fallbacks,
-    # sign-cache hits/misses), attached by repro.hull.parallel at the
-    # end of a run; ``{"kernel": "scalar"}`` on scalar runs.
+    # Visibility-kernel provenance and counters (batched sweeps, filter
+    # fallbacks, noise tallies), attached by the hull engine at the end
+    # of a run; ``{"kernel": "scalar"}`` on object-engine runs.
     kernel_stats: dict = field(default_factory=dict)
 
     @property

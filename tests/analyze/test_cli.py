@@ -191,12 +191,13 @@ class TestHotpathCli:
         the object drivers are exempt as differential oracles, the
         performance path is ``hull/soa.py``, and the baseline shrank
         strictly (now only the shared factory + app/baseline worklist
-        remains).  The SoA engine itself must stay finding-free."""
+        remains; deleting the object-engine batch kernel took it from
+        16 to 7).  The SoA engine itself must stay finding-free."""
         payload = json.loads(HOT_BASELINE.read_text())
         paths = {d["path"] for d in payload["findings"]}
         # Strict decrease from the pre-migration baseline of 44.
         assert len(payload["findings"]) < 44
-        assert len(payload["findings"]) <= 16
+        assert len(payload["findings"]) <= 7
         # Migrated driver loops no longer appear (exempt as oracles,
         # not suppressed line by line).
         for driver in ("hull/sequential.py", "hull/parallel.py",
@@ -208,7 +209,7 @@ class TestHotpathCli:
         assert any(p.endswith("hull/common.py") for p in paths)
         rules = {d["rule_id"] for d in payload["findings"]}
         assert {"RPRHOT001", "RPRHOT003"} <= rules
-        assert payload["rprhot_suppressions"] <= 19
+        assert payload["rprhot_suppressions"] <= 5
 
     def test_soa_engine_is_finding_free(self, capsys, tmp_path):
         """Run the analyzer over hull/soa.py alone with *no* baseline:

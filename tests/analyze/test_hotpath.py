@@ -133,15 +133,15 @@ def scale(a, w):
 '''
 
 UNACCOUNTED_SWEEP = '''
-def sweep_all(kern, pts):
+def sweep_all(pts, planes, owner, ranks):
     # repro: hot-entry
-    return kern.visible_blocks(pts)
+    return visible_flat(pts, *planes, owner, ranks)
 '''
 
 ACCOUNTED_SWEEP_CLEAN = '''
-def sweep_all(kern, pts, tracker):
+def sweep_all(pts, planes, owner, ranks, tracker):
     # repro: hot-entry
-    out = kern.visible_blocks(pts)
+    out = visible_flat(pts, *planes, owner, ranks)
     tracker.add_batched_sweep(len(out))
     return out
 '''
@@ -219,7 +219,7 @@ class TestBadFixtures:
         r = _run(UNACCOUNTED_SWEEP)
         assert _rules(r) == ["RPRHOT006"]
         (f,) = r.findings
-        assert "visible_blocks" in f.message
+        assert "visible_flat" in f.message
 
     def test_syntax_error_is_rprhot999(self):
         r = analyze_hotpaths([], sources={"bad.py": "def f(:\n"})
@@ -266,10 +266,6 @@ class TestHotRegion:
     def test_kernel_param_is_an_entry(self):
         r = _run("def f(kernel):\n    return kernel\n")
         assert r.entries == {"fixture.f": "has a kernel= parameter"}
-
-    def test_batchkernel_construction_is_an_entry(self):
-        r = _run("def f(pts):\n    return BatchKernel(pts)\n")
-        assert r.entries == {"fixture.f": "constructs BatchKernel"}
 
     def test_kernel_batch_literal_is_an_entry(self):
         r = _run("def f(pts):\n    return hull(pts, kernel='batch')\n")

@@ -3,7 +3,8 @@
 The hot-path analyzer reasons about kernel traffic through symbolic
 shape annotations (``simplices=(F,d,d):float64`` ...); the runtime
 recorder *observes* the concrete ``(shape, dtype)`` of every array that
-crosses an instrumented kernel boundary during a real batch hull run.
+crosses an instrumented kernel boundary during a real hull run (the
+SoA engine's flat sweep and the object engines' conflict-set helpers).
 Soundness (relative to the exercised code) means: every observed fact
 is admitted by the static abstraction, with the symbolic dims bound
 *jointly consistently* within each event -- ``F`` and ``d`` must take
@@ -31,7 +32,7 @@ from repro.analyze import (
     recording,
 )
 from repro.geometry import uniform_ball, uniform_cube
-from repro.geometry.kernels import BatchKernel, orient_batch
+from repro.geometry.kernels import orient_batch
 from repro.hull import parallel_hull, soa_hull
 from repro.hull.point_parallel import point_parallel_hull
 
@@ -55,14 +56,14 @@ class TestShapeSoundnessDifferential:
     @pytest.mark.parametrize("dim,n,seed", [(2, 120, 3), (3, 90, 4)])
     def test_batch_hull_traffic_is_admitted(self, dim, n, seed, static_result):
         pts = uniform_ball(n, dim, seed=seed)
-        rec = _record(lambda: parallel_hull(pts, seed=seed, kernel="batch"))
+        rec = _record(lambda: parallel_hull(pts, seed=seed, engine="soa"))
         assert rec.events, "hull run hit no instrumented boundary (hooks broken?)"
         problems = check_recorded_events(static_result, rec)
         assert not problems, problems
 
-    def test_point_parallel_batch_traffic_is_admitted(self, static_result):
+    def test_point_parallel_traffic_is_admitted(self, static_result):
         pts = uniform_cube(100, 2, seed=11)
-        rec = _record(lambda: point_parallel_hull(pts, kernel="batch"))
+        rec = _record(lambda: point_parallel_hull(pts))
         assert rec.events, "hull run hit no instrumented boundary (hooks broken?)"
         problems = check_recorded_events(static_result, rec)
         assert not problems, problems
@@ -89,15 +90,15 @@ class TestShapeSoundnessDifferential:
 
     def test_recorder_covers_every_annotated_boundary(self, static_result):
         """Every shape-annotated boundary fires somewhere in the suite's
-        workload (hull drivers hit ``visible_blocks`` + the conflict-set
-        helpers; the SoA engine hits the flat-sweep kernels; the
-        standalone ``orient_batch`` kernel pulls in ``batch_planes``)
+        workload (the object drivers hit the conflict-set helpers; the
+        SoA engine hits the flat-sweep kernels; the standalone
+        ``orient_batch`` kernel pulls in ``batch_planes``)
         -- the differential is not vacuous."""
         pts = uniform_ball(150, 3, seed=5)
         rng = np.random.default_rng(7)
 
         def workload():
-            parallel_hull(pts, seed=5, kernel="batch")
+            parallel_hull(pts, seed=5)
             soa_hull(pts, seed=5)
             orient_batch(rng.standard_normal((5, 3, 3)),
                          rng.standard_normal((9, 3)))
@@ -126,5 +127,5 @@ class TestShapeSoundnessDifferential:
     def test_scalar_run_records_nothing_outside_recording(self):
         rec = ShapeRecorder()
         pts = uniform_ball(60, 2, seed=1)
-        parallel_hull(pts, seed=1, kernel="batch")  # no recording block
+        soa_hull(pts, seed=1)  # no recording block
         assert rec.events == []

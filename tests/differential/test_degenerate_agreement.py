@@ -2,8 +2,8 @@
 
 Every family in :data:`repro.geometry.degenerate.CORPUS` is a designed
 trap for float predicates -- exact ties (duplicates, grids, cocircular
-points) or near-ties inside naive tolerances.  The batched kernel must
-*escalate* on these, never silently disagree: its float filter may only
+points) or near-ties inside naive tolerances.  The batched kernels (and
+the SoA engine's flat sweep built on them) must *escalate* on these, never silently disagree: its float filter may only
 certify signs outside the error envelope, so every exact tie lands in
 the fallback counter and comes back with the scalar ladder's answer.
 """
@@ -60,11 +60,12 @@ def test_predicate_agreement_on_corpus(name):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_hull_agreement_on_corpus(name):
     """The escalation ladder lands on the same rung and the same facet
-    set whichever visibility engine runs underneath."""
+    set on the scalar object engine and on the SoA engine's flat
+    sweep."""
     pts = CORPUS[name](1)
-    scalar = robust_hull(pts, seed=2, certify=False, kernel="scalar")
+    scalar = robust_hull(pts, seed=2, certify=False)
     KERNEL_STATS.reset()
-    batch = robust_hull(pts, seed=2, certify=False, kernel="batch")
+    batch = robust_hull(pts, seed=2, certify=False, engine="soa")
     assert batch.mode == scalar.mode, name
     assert batch.run.facet_keys() == scalar.run.facet_keys(), name
     if name in TIE_FAMILIES:

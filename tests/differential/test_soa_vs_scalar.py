@@ -8,9 +8,13 @@ scalar driver, emits byte-identical certificates, and accounts the same
 scalar-equivalent work -- because every float-certain sign is proven by
 the shared error envelope and every ambiguous sign takes the same exact
 ladder.  Hypothesis drives the instances; fixed sweeps cover the
-degenerate corpus, both kernels, the noisy p=0 bit-identity, and the
-driver adapters.
+degenerate corpus, the noisy p=0 bit-identity, noisy goldens at p>0,
+the kernel-per-engine argument, and the parallel driver adapter.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,15 +63,14 @@ def _assert_equivalent(soa, ref):
     assert soa.counters.facets_created == ref.counters.facets_created
 
 
-@pytest.mark.parametrize("kernel", ["batch", "scalar"])
 @given(hull_instances)
 @settings(max_examples=10, deadline=None)
-def test_soa_matches_scalar_oracle(kernel, params):
+def test_soa_matches_scalar_oracle(params):
     seed, n, d = params
     pts = uniform_ball(n, d, seed=seed)
     order = np.random.default_rng(seed + 1).permutation(n)
     ref = _oracle(pts, order)
-    soa = soa_hull(pts, order=order.copy(), kernel=kernel)
+    soa = soa_hull(pts, order=order.copy())
     _assert_equivalent(soa, ref)
 
 
@@ -141,17 +144,15 @@ def test_soa_robust_ladder_reaches_same_rung(name):
     assert a.run.facet_keys() == b.run.facet_keys()
 
 
-@pytest.mark.parametrize("base", ["scalar", "batch"])
-def test_soa_noisy_p0_bit_identity(base):
+def test_soa_noisy_p0_bit_identity():
     """A p=0 NoisyKernel must be a no-op wrapper: facets, counters, and
     the flat conflict pool are bit-identical to the unwrapped engine,
     which in turn matches the scalar oracle."""
     pts = uniform_ball(64, 3, seed=21)
     order = np.random.default_rng(22).permutation(64)
-    plain = soa_hull(pts, order=order.copy(), kernel=base)
+    plain = soa_hull(pts, order=order.copy())
     noisy = soa_hull(
-        pts, order=order.copy(),
-        kernel=NoisyKernel(p=0.0, votes=3, seed=7, base=base),
+        pts, order=order.copy(), kernel=NoisyKernel(p=0.0, votes=3, seed=7),
     )
     assert plain.facet_keys() == noisy.facet_keys()
     assert plain.counters.as_dict() == noisy.counters.as_dict()
@@ -164,11 +165,79 @@ def test_soa_noisy_ladder_self_heals():
     """With real noise, the certificate-gated ladder over the SoA engine
     must land on a verified hull (possibly after escalation)."""
     pts = uniform_ball(90, 3, seed=31)
-    nk = NoisyKernel(p=0.05, votes=3, seed=9, base="batch")
+    nk = NoisyKernel(p=0.05, votes=3, seed=9)
     res = robust_hull(pts, seed=0, noise=nk, engine="soa")
     assert res.certificate is not None
     ref = robust_hull(pts, seed=0)
     assert res.run.facet_keys() == ref.run.facet_keys()
+
+
+_GOLDEN = json.loads(
+    (Path(__file__).with_name("soa_noisy_golden.json")).read_text()
+)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:20]
+
+
+@pytest.mark.parametrize(
+    "case", _GOLDEN["cases"],
+    ids=[f"seed{c['seed']}-d{c['d']}-votes{c['votes']}" for c in _GOLDEN["cases"]],
+)
+def test_soa_noise_matches_golden(case):
+    """Noise at p>0 flips the flat sweep's mask, grouped by owner.  The
+    goldens were recorded when SoA noise still ran through the per-facet
+    FacetFactory; the mask-level path must reproduce them bit for bit:
+    facets, conflict pool, counters and the noisy kernel's own tally."""
+    pts = uniform_ball(_GOLDEN["n"], case["d"], seed=100 + case["seed"])
+    nk = NoisyKernel(p=_GOLDEN["p"], votes=case["votes"], seed=case["seed"])
+    run = soa_hull(pts, seed=case["seed"], kernel=nk)
+    got = {
+        "facet_keys": _digest(sorted((sorted(k), s) for k, s in run.facet_keys())),
+        "created_keys": _digest(sorted((sorted(k), s) for k, s in run.created_keys())),
+        "conflict_pool": _digest(run.conflict_pool.tolist()),
+        "conflict_lens": _digest(run.conflict_lens.tolist()),
+        "counters": run.counters.as_dict(),
+        "noisy": nk.snapshot(),
+    }
+    want = {k: case[k] for k in got}
+    assert got == want
+    assert run.exec_stats.kernel_stats["kernel"] == "noisy[soa[batch]]"
+
+
+# -- the kernel is a function of the engine ----------------------------------
+
+def test_soa_default_kernel_is_the_flat_sweep():
+    """Without ``kernel=``, ``engine="soa"`` runs its own flat sweep
+    through every entry point (it once defaulted to the per-facet
+    scalar factory under the SoA driver)."""
+    pts = uniform_ball(80, 3, seed=2)
+    runs = [
+        soa_hull(pts, seed=1),
+        parallel_hull(pts, seed=1, engine="soa"),
+        robust_hull(pts, seed=1, engine="soa").run,
+    ]
+    for run in runs:
+        stats = run.exec_stats.kernel_stats
+        assert stats["kernel"] == "soa[batch]"
+        assert stats["batched_signs"] == run.counters.visibility_tests > 0
+
+
+def test_each_engine_rejects_the_other_engines_kernel():
+    pts = uniform_ball(20, 2, seed=1)
+    with pytest.raises(ValueError, match="runs on engine='soa'"):
+        parallel_hull(pts, seed=0, kernel="batch")
+    with pytest.raises(ValueError, match="runs on engine='soa'"):
+        sequential_hull(pts, seed=0, kernel="batch")
+    with pytest.raises(ValueError, match="runs on engine='soa'"):
+        robust_hull(pts, seed=0, kernel="batch")
+    with pytest.raises(ValueError, match="runs on engine='objects'"):
+        parallel_hull(pts, seed=0, engine="soa", kernel="scalar")
+    with pytest.raises(ValueError, match="runs on engine='objects'"):
+        soa_hull(pts, seed=0, kernel="scalar")
+    with pytest.raises(ValueError, match="unknown kernel 'gpu'.*engine='soa'"):
+        soa_hull(pts, seed=0, kernel="gpu")
 
 
 # -- driver adapters ---------------------------------------------------------
@@ -193,26 +262,9 @@ def test_parallel_adapter_matches_object_driver(params):
     assert len(a.events) == len(b.events)
 
 
-@given(st.tuples(st.integers(0, 3_000), st.integers(12, 60), st.sampled_from([2, 3])))
-@settings(max_examples=8, deadline=None)
-def test_sequential_adapter_matches_object_driver(params):
-    seed, n, d = params
-    pts = uniform_cube(n, d, seed=seed + 51)
-    order = np.random.default_rng(seed + 7).permutation(n)
-    a = sequential_hull(pts, order=order.copy())
-    b = sequential_hull(pts, order=order.copy(), engine="soa", kernel="batch")
-    assert a.facet_keys() == b.facet_keys()
-    assert a.created_keys() == b.created_keys()
-    steps_a = {f.key(): a.creation_step[f.fid] for f in a.created}
-    steps_b = {f.key(): b.creation_step[f.fid] for f in b.created}
-    assert steps_a == steps_b
-
-
 def test_engine_argument_is_validated():
     pts = uniform_ball(20, 2, seed=1)
     with pytest.raises(ValueError, match="unknown engine"):
         parallel_hull(pts, seed=0, engine="nope")
-    with pytest.raises(ValueError, match="unknown engine"):
-        sequential_hull(pts, seed=0, engine="nope")
     with pytest.raises(ValueError, match="multimap"):
         parallel_hull(pts, seed=0, engine="soa", multimap="cas")

@@ -1,9 +1,9 @@
 """Unit tests for the batched predicate kernels.
 
 The differential suite (``tests/differential/``) pins kernel-vs-scalar
-agreement across executors and the degenerate corpus; these tests cover
-the kernel machinery itself: the filter knob, the counters, the sign
-cache, and the FacetFactory batch path.
+agreement across inputs and the degenerate corpus; these tests cover
+the kernel machinery itself: the filter knob, the counters, the flat
+sweep's exact routing, and the FacetFactory's kernel argument.
 """
 
 import numpy as np
@@ -11,14 +11,14 @@ import pytest
 
 from repro.geometry import uniform_ball
 from repro.geometry.hyperplane import exact_mode
+from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.kernels import (
     KERNEL_STATS,
-    BatchKernel,
     KernelStats,
-    SignCache,
     batch_planes,
     filter_scale,
     orient_batch,
+    visible_flat,
 )
 from repro.geometry.predicates import orient
 from repro.hull.common import Counters, FacetFactory
@@ -95,7 +95,6 @@ def test_kernel_stats_counts_and_reset():
     st = KernelStats()
     st.count_sweep(signs=10, fallbacks=3)
     st.count_sweep(signs=5, fallbacks=0)
-    st.count_cache(hits=2, misses=8)
     assert st.batched_sweeps == 2
     assert st.batched_signs == 15
     assert st.fallbacks == 3
@@ -105,102 +104,53 @@ def test_kernel_stats_counts_and_reset():
         "batched_sweeps": 2,
         "batched_signs": 15,
         "fallbacks": 3,
-        "cache_hits": 2,
-        "cache_misses": 8,
     }
     st.reset()
     assert st.snapshot() == {k: 0 for k in snap}
 
 
-def test_sign_cache_partial_intersection():
-    cache = SignCache()
-    idx = (3, 7)
-    cands = np.array([1, 4, 6, 9], dtype=np.int64)
-    vis = np.array([True, False, True, False])
-    cache.store(idx, cands, vis)
-    query = np.array([0, 4, 6, 10], dtype=np.int64)
-    known, got = cache.lookup(idx, query)
-    assert known.tolist() == [False, True, True, False]
-    assert got[1] == False and got[2] == True  # noqa: E712
-    assert cache.hits.value == 2
-    assert cache.misses.value == 2
-    # Unknown facet: everything misses.
-    known2, _ = cache.lookup((0, 1), query)
-    assert not known2.any()
-    assert cache.snapshot()["entries"] == 1
-
-
-def _factory(pts, kernel):
+def _factory(pts, kernel=None):
     d = pts.shape[1]
     interior = pts[: d + 1].mean(axis=0)
     return FacetFactory(pts, interior, Counters(), kernel=kernel)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_make_batch_matches_scalar_factory(d):
-    pts = uniform_ball(80, d, seed=d)
-    fs = _factory(pts, "scalar")
-    fb = _factory(pts, "batch")
-    cands = np.arange(pts.shape[0], dtype=np.int64)
-    specs = [
-        (tuple(range(k, k + d)), cands.copy())
-        for k in range(0, 20, 2)
-    ]
-    scalar_facets = fs.make_batch(specs)
-    batch_facets = fb.make_batch(specs)
-    for a, b in zip(scalar_facets, batch_facets):
-        assert a.fid == b.fid
-        assert a.indices == b.indices
-        assert np.array_equal(a.conflicts, b.conflicts)
-    assert fs.counters.visibility_tests == fb.counters.visibility_tests
-    assert fs.counters.facets_created == fb.counters.facets_created
-
-
 def test_make_batch_empty_candidates():
     pts = uniform_ball(10, 2, seed=3)
-    fb = _factory(pts, "batch")
+    fb = _factory(pts)
     facets = fb.make_batch([((0, 1), np.zeros(0, dtype=np.int64))])
     assert facets[0].conflicts.size == 0
 
 
-def test_factory_cache_hits_on_recreation():
-    """Re-making a facet with the same defining indices (the chaos
-    rollback scenario) answers its visibility from the cache."""
-    pts = uniform_ball(60, 2, seed=9)
-    fb = _factory(pts, "batch")
-    cands = np.arange(60, dtype=np.int64)
-    first = fb.make((4, 5), cands.copy())
-    assert fb.batch_kernel.cache.hits.value == 0
-    second = fb.make((4, 5), cands.copy())
-    assert fb.batch_kernel.cache.hits.value == first.conflicts.size + (
-        58 - first.conflicts.size
-    )
-    assert np.array_equal(first.conflicts, second.conflicts)
-    snap = fb.kernel_snapshot()
-    assert snap["kernel"] == "batch"
-    assert snap["cache_hits"] > 0
-
-
 def test_always_exact_planes_route_to_scalar_ladder():
     """Under forced-exact planes the float normal is untrustworthy; the
-    batch kernel must delegate whole blocks to the exact path and still
-    agree with the scalar factory."""
+    flat sweep must send every entry of a ``force_exact`` plane to the
+    exact path and still agree with the scalar factory."""
     pts = uniform_ball(40, 2, seed=11)
     with exact_mode():
-        fs = _factory(pts, "scalar")
-        fb = _factory(pts, "batch")
-        cands = np.arange(40, dtype=np.int64)
+        fs = _factory(pts)
+        cands = np.arange(2, 40, dtype=np.int64)
         a = fs.make((0, 1), cands.copy())
-        b = fb.make((0, 1), cands.copy())
-    assert np.array_equal(a.conflicts, b.conflicts)
-    snap = fb.batch_kernel.snapshot()
-    assert snap["fallbacks"] == snap["batched_signs"] > 0
+        plane = Hyperplane.through(pts[[0, 1]], fs.interior, indices=(0, 1))
+    assert plane.always_exact
+    stats = KernelStats()
+    mask = visible_flat(
+        pts, plane.normal[None, :], np.array([plane.offset]),
+        np.array([plane.err_scale]), np.array([plane.err_base]),
+        np.zeros(cands.size, dtype=np.int64), cands,
+        force_exact=np.array([True]), plane_for=lambda k: plane, stats=stats,
+    )
+    assert np.array_equal(cands[mask], a.conflicts)
+    snap = stats.snapshot()
+    assert snap["fallbacks"] == snap["batched_signs"] == cands.size
 
 
 def test_factory_rejects_unknown_kernel():
     pts = uniform_ball(10, 2, seed=0)
     with pytest.raises(ValueError, match="unknown kernel"):
         _factory(pts, "gpu")
+    with pytest.raises(ValueError, match="engine='soa'"):
+        _factory(pts, "batch")
 
 
 def test_add_batched_sweep_scalar_equivalent_work():
@@ -217,10 +167,3 @@ def test_add_batched_sweep_scalar_equivalent_work():
     empty = WorkSpanTracker()
     empty.add_batched_sweep([])
     assert empty.work == 1
-
-
-def test_batch_kernel_without_cache():
-    pts = uniform_ball(30, 2, seed=2)
-    kern = BatchKernel(pts, cache=False)
-    assert kern.cache is None
-    assert kern.snapshot()["cache_entries"] == 0

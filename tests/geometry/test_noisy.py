@@ -26,12 +26,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NoisyKernel(p=0.1, votes="several")
 
-    def test_base_validated(self):
-        NoisyKernel(p=0.1, base="scalar")
-        NoisyKernel(p=0.1, base="batch")
-        with pytest.raises(ValueError):
-            NoisyKernel(p=0.1, base="gpu")
-
     def test_confidence_and_max_votes_validated(self):
         with pytest.raises(ValueError):
             NoisyKernel(p=0.1, confidence=0.0)
@@ -163,10 +157,9 @@ class TestAdaptive:
 
 class TestLadderPlumbing:
     def test_spawn_preserves_model(self):
-        nk = NoisyKernel(p=0.05, votes=3, seed=8, base="batch",
-                         confidence=1e-4, max_votes=21)
+        nk = NoisyKernel(p=0.05, votes=3, seed=8, confidence=1e-4, max_votes=21)
         child = nk.spawn(votes=7, epoch=4)
-        assert (child.p, child.seed, child.base) == (0.05, 8, "batch")
+        assert (child.p, child.seed) == (0.05, 8)
         assert (child.votes, child.epoch) == (7, 4)
         assert (child.confidence, child.max_votes) == (1e-4, 21)
         assert child.decisions == 0  # fresh counters

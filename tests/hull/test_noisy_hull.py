@@ -25,15 +25,14 @@ class TestBitIdentityAtPZero:
     """A p=0 NoisyKernel must be a bit-identical no-op wrapper: same
     facets, same fids, same counters, same work/span DAG."""
 
-    @pytest.mark.parametrize("base", ["scalar", "batch"])
     @pytest.mark.parametrize(
         "driver", [sequential_hull, parallel_hull, point_parallel_hull]
     )
-    def test_identical_runs(self, base, driver):
+    def test_identical_runs(self, driver):
         pts = uniform_ball(70, 3, seed=2)
         order = np.random.default_rng(3).permutation(70)
-        ref = driver(pts, order=order.copy(), kernel=base)
-        nk = NoisyKernel(p=0.0, votes=3, seed=9, base=base)
+        ref = driver(pts, order=order.copy())
+        nk = NoisyKernel(p=0.0, votes=3, seed=9)
         run = driver(pts, order=order.copy(), kernel=nk)
         assert run.facet_keys() == ref.facet_keys()
         if hasattr(ref, "created"):  # point-parallel keeps no creation log
@@ -41,13 +40,10 @@ class TestBitIdentityAtPZero:
         assert run.counters.as_dict() == ref.counters.as_dict()
         assert nk.decisions == 0  # noise layer never even sampled
 
-    @pytest.mark.parametrize("base", ["scalar", "batch"])
-    def test_work_span_dag_identical(self, base):
+    def test_work_span_dag_identical(self):
         pts = uniform_ball(60, 3, seed=4)
-        ref = parallel_hull(pts, seed=1, kernel=base)
-        run = parallel_hull(
-            pts, seed=1, kernel=NoisyKernel(p=0.0, seed=5, base=base)
-        )
+        ref = parallel_hull(pts, seed=1)
+        run = parallel_hull(pts, seed=1, kernel=NoisyKernel(p=0.0, seed=5))
         assert run.tracker.work == ref.tracker.work
         assert run.tracker.span == ref.tracker.span
         assert len(run.tracker) == len(ref.tracker)
@@ -56,11 +52,11 @@ class TestBitIdentityAtPZero:
         # Even a p=0 run is labeled: the archive must show which oracle
         # model produced it.
         run = parallel_hull(
-            uniform_ball(40, 3, seed=0), seed=1,
-            kernel=NoisyKernel(p=0.0, seed=5, base="batch"),
+            uniform_ball(40, 3, seed=0), seed=1, engine="soa",
+            kernel=NoisyKernel(p=0.0, seed=5),
         )
         snap = run.exec_stats.kernel_stats
-        assert snap["kernel"] == "noisy[batch]"
+        assert snap["kernel"] == "noisy[soa[batch]]"
         assert snap["noise_p"] == 0.0
 
 

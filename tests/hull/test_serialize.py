@@ -28,10 +28,14 @@ from repro.hull.serialize import (
 )
 
 
+#: Each engine's one visibility kernel, keyed by its ``kernel=`` name.
+ENGINE_OF = {"scalar": "objects", "batch": "soa"}
+
+
 @pytest.mark.parametrize("d,kernel", [(2, "scalar"), (2, "batch"), (3, "batch")])
 def test_run_summary_roundtrip(tmp_path, d, kernel):
     pts = uniform_ball(90, d, seed=d)
-    run = parallel_hull(pts, seed=7, kernel=kernel)
+    run = parallel_hull(pts, seed=7, engine=ENGINE_OF[kernel], kernel=kernel)
     path = tmp_path / "run.json"
     save_run(run, path)
     loaded = load_summary(path)
@@ -45,8 +49,9 @@ def test_run_summary_roundtrip(tmp_path, d, kernel):
         frozenset(f.indices) for f in run.facets
     }
     # Kernel provenance survives the trip.
-    assert loaded["kernel"]["kernel"] == kernel
+    assert loaded["kernel"] == run.exec_stats.kernel_stats
     if kernel == "batch":
+        assert loaded["kernel"]["kernel"] == "soa[batch]"
         assert loaded["kernel"]["batched_signs"] > 0
 
     # The dependence graph rebuilt from disk reproduces the depth.
@@ -77,7 +82,7 @@ def test_load_summary_rejects_wrong_schema(tmp_path):
 @pytest.mark.parametrize("d,kernel", [(2, "scalar"), (3, "batch")])
 def test_certificate_roundtrip_reverifies(d, kernel):
     pts = uniform_ball(60, d, seed=d + 10)
-    run = parallel_hull(pts, seed=5, kernel=kernel)
+    run = parallel_hull(pts, seed=5, engine=ENGINE_OF[kernel], kernel=kernel)
     cert = make_certificate(run)
     payload = json.dumps(cert.to_dict())
     back = HullCertificate.from_dict(json.loads(payload))
@@ -100,7 +105,7 @@ def test_certificate_rejects_wrong_schema():
 )
 def test_corrupted_certificate_fails_verification(mode):
     pts = uniform_ball(50, 2, seed=4)
-    cert = make_certificate(parallel_hull(pts, seed=9, kernel="batch"))
+    cert = make_certificate(parallel_hull(pts, seed=9, engine="soa"))
     verify_certificate(cert, pts)  # sanity: the honest one passes
     bad = corrupt_certificate(cert, mode, seed=3)
     # The tampered payload still parses (schema intact) ...

@@ -41,10 +41,11 @@ order must produce the identical facet set over original indices.
 
 ``--kernels`` fuzzes the batched predicate kernels
 (:mod:`repro.geometry.kernels`) over random (input, dimension,
-filter-threshold) triples: hulls built with ``kernel="batch"`` under a
-randomly inflated float-filter envelope must stay facet- and
-counter-identical to the scalar oracle, and sampled ``orient_batch``
-blocks must agree elementwise with scalar ``orient``.
+filter-threshold) triples: SoA hulls (``soa_hull``, the flat
+``visible_flat`` sweep) under a randomly inflated float-filter
+envelope must stay facet- and counter-identical to the scalar oracle,
+and sampled ``orient_batch`` blocks must agree elementwise with scalar
+``orient``.
 
 ``--effects`` mutation-fuzzes the static effect analyzer
 (:mod:`repro.analyze`): random structural mutations of seed programs
@@ -92,12 +93,12 @@ from repro.hull import (
     parallel_hull,
     point_parallel_hull,
     sequential_hull,
+    soa_hull,
     validate_hull,
 )
 from repro.hull.online import OnlineHull
 from repro.runtime import (
     CASMultimap,
-    MultimapFullError,
     RoundExecutor,
     SerialExecutor,
     TASMultimap,
@@ -388,40 +389,18 @@ def one_kernel_case(rng: np.random.Generator, verbose: bool) -> str | None:
     pts = gen(n, d, seed=seed)
     order = np.random.default_rng(seed + 1).permutation(n)
     try:
-        seq = sequential_hull(pts, order=order.copy(), kernel="scalar")
-        ref = facet_sets_global(seq.facets, seq.order)
+        seq = sequential_hull(pts, order=order.copy())
         with filter_scale(env_scale):
-            batch_seq = sequential_hull(pts, order=order.copy(), kernel="batch")
-            if facet_sets_global(batch_seq.facets, batch_seq.order) != ref:
-                return f"{label}: batch sequential differs from scalar"
-            if batch_seq.counters.as_dict() != seq.counters.as_dict():
-                return (f"{label}: counters differ: {batch_seq.counters.as_dict()} "
-                        f"vs {seq.counters.as_dict()}")
-            ex = [SerialExecutor(), RoundExecutor(), ThreadExecutor(2)][
-                int(rng.integers(0, 3))
-            ]
-            mm = "cas" if isinstance(ex, ThreadExecutor) else "dict"
-            try:
-                par = parallel_hull(pts, order=order.copy(), executor=ex,
-                                    multimap=mm, kernel="batch")
-            except MultimapFullError:
-                # Fixed-capacity table overflow is a property of the
-                # input (quartic facet counts on d=4 moment curves), not
-                # of the engine: scalar must overflow identically.
-                try:
-                    parallel_hull(pts, order=order.copy(), executor=ex,
-                                  multimap=mm, kernel="scalar")
-                    return f"{label}: only the batch engine overflowed the multimap"
-                except MultimapFullError:
-                    par = None
-            if par is not None:
-                validate_hull(par.facets, par.points)
-                if facet_sets_global(par.facets, par.order) != ref:
-                    return f"{label}: batch parallel[{type(ex).__name__}] differs"
-
-            pp = point_parallel_hull(pts, order=order.copy(), kernel="batch")
-            if facet_sets_global(pp.facets, pp.order) != ref:
-                return f"{label}: batch point-parallel differs"
+            soa = soa_hull(pts, order=order.copy())
+            if soa.facet_keys() != seq.facet_keys():
+                return f"{label}: soa facets differ from the scalar oracle"
+            if soa.created_keys() != seq.created_keys():
+                return f"{label}: soa created facets differ from the scalar oracle"
+            for key in ("visibility_tests", "facets_created"):
+                got, want = getattr(soa.counters, key), getattr(seq.counters, key)
+                if got != want:
+                    return f"{label}: {key} differs: soa {got} vs scalar {want}"
+            validate_hull(soa.facets, soa.points)
 
             # Predicate-level sample: a random block must agree sign-for-
             # sign with the scalar oracle under the inflated envelope.
@@ -459,21 +438,20 @@ def one_noisy_case(rng: np.random.Generator, verbose: bool) -> str | None:
     nseed = int(rng.integers(0, 2**31))
     p = float(rng.choice([0.001, 0.01, 0.05, 0.1]))
     votes = [1, 3, 5, "adaptive"][int(rng.integers(0, 4))]
-    base = "batch" if rng.integers(0, 2) else "scalar"
     label = (f"noisy[{name}](n={n}, d={d}, seed={seed}, p={p}, "
-             f"votes={votes}, base={base}, nseed={nseed})")
+             f"votes={votes}, nseed={nseed})")
     if verbose:
         print(f"  {label}")
     pts = gen(n, d, seed=seed)
     order = np.random.default_rng(seed + 1).permutation(n)
     try:
-        ref = sequential_hull(pts, order=order.copy(), kernel=base)
+        ref = sequential_hull(pts, order=order.copy())
         ref_keys = facet_sets_global(ref.facets, ref.order)
 
         # p=0: the wrapper must be a bit-identical no-op.
         zero = sequential_hull(
             pts, order=order.copy(),
-            kernel=NoisyKernel(p=0.0, votes=votes, seed=nseed, base=base),
+            kernel=NoisyKernel(p=0.0, votes=votes, seed=nseed),
         )
         if facet_sets_global(zero.facets, zero.order) != ref_keys:
             return f"{label}: p=0 noisy differs from unwrapped"
@@ -483,7 +461,7 @@ def one_noisy_case(rng: np.random.Generator, verbose: bool) -> str | None:
         # Determinism: one noise seed, one outcome (crash type counts
         # as an outcome -- a lying oracle may break invariants).
         def raw_outcome():
-            nk = NoisyKernel(p=p, votes=votes, seed=nseed, base=base)
+            nk = NoisyKernel(p=p, votes=votes, seed=nseed)
             try:
                 run = sequential_hull(pts, order=order.copy(), kernel=nk)
             except Exception as exc:  # noqa: BLE001 - fuzzing surface
@@ -495,7 +473,7 @@ def one_noisy_case(rng: np.random.Generator, verbose: bool) -> str | None:
 
         # Self-healing: the ladder must land on the exact oracle's hull
         # and record how it got there.
-        nk = NoisyKernel(p=p, votes=votes, seed=nseed, base=base)
+        nk = NoisyKernel(p=p, votes=votes, seed=nseed)
         res = robust_hull(pts, seed=seed, order=order.copy(), noise=nk)
         exact = robust_hull(pts, seed=seed, order=order.copy())
         # Compare in global-index space: different surviving rungs may
