@@ -18,8 +18,8 @@ candidate) visibility block --
     run;
 ``flat``
     one :func:`~repro.geometry.kernels.visible_flat` sweep over the
-    whole block flattened into an (owner, rank) stream: the sweep the
-    SoA engine runs every round.
+    whole block flattened into a stream of ranks grouped in per-facet
+    runs: the run-length column sweep the SoA engine runs every round.
 
 and reports median wall times, speedups, and the filter-fallback rate
 (the fraction of signs the float envelope could not certify).  An
@@ -110,15 +110,19 @@ def _predicate_row(
     pts = uniform_ball(n, d, seed=seed)
     planes, cand_list = _facet_specs(pts, n_facets, rng)
     tests = sum(int(c.size) for c in cand_list)
-    # The flat stream the SoA engine sweeps: plane columns plus one
-    # (owner, rank) entry per test, built outside the stopwatch (the
-    # engine builds them with batch_planes / gather_segments).
+    # The flat stream the SoA engine sweeps: plane columns, one run
+    # length per plane and one rank per test, built outside the
+    # stopwatch (the engine builds them with batch_planes /
+    # gather_segments), plus the per-point columns the engine builds
+    # once per run.
     normals = np.stack([p.normal for p in planes])
     offsets = np.array([p.offset for p in planes])
     e_scale = np.array([p.err_scale for p in planes])
     e_base = np.array([p.err_base for p in planes])
-    owner = np.repeat(np.arange(len(planes)), [c.size for c in cand_list])
+    counts = np.array([c.size for c in cand_list], dtype=np.int64)
     ranks = np.concatenate(cand_list)
+    pts_inf = np.abs(pts).max(axis=1)
+    pts_cols = np.ascontiguousarray(pts.T)
 
     def scalar() -> list[np.ndarray]:
         out = []
@@ -137,8 +141,9 @@ def _predicate_row(
     def flat() -> tuple[np.ndarray, KernelStats]:
         stats = KernelStats()
         mask = visible_flat(
-            pts, normals, offsets, e_scale, e_base, owner, ranks,
+            pts, normals, offsets, e_scale, e_base, counts, ranks,
             plane_for=planes.__getitem__, stats=stats,
+            pts_inf=pts_inf, pts_cols=pts_cols,
         )
         return mask, stats
 

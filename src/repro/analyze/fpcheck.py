@@ -109,10 +109,18 @@ _IDENTITY_CALLS = {
 _NONFP_CALLS = {
     "int", "len", "bool", "range", "zip", "enumerate", "sign",
     "argmin", "argmax", "nonzero", "flatnonzero", "arange",
-    "searchsorted", "repeat", "cumsum", "any", "all", "count_nonzero",
+    "searchsorted", "cumsum", "any", "all", "count_nonzero",
     "isfinite", "isnan", "isinf", "array_equal", "unique", "sort",
     "argsort", "lexsort", "bincount", "print",
 }
+
+#: gathers and run-length expansions: the result carries the data
+#: operand's magnitude and error; the index / count operand is no data.
+_GATHER_CALLS = {"take", "repeat"}
+
+#: longest pin-decided ``range`` loop walked once per trip; longer ones
+#: are walked once, like any loop of unknown length.
+_MAX_UNROLL = 16
 
 #: stacking calls: result bounds join the (flattened) operands.
 _JOIN_CALLS = {"stack", "concatenate", "hstack", "vstack",
@@ -523,6 +531,11 @@ class _Interp:
         if summary is not None:
             return summary
 
+        if bare in _GATHER_CALLS:
+            src = receiver if receiver is not None else (
+                args[0] if args else fe.TOP)
+            return src if isinstance(src, fe.FpVal) else fe.TOP
+
         fpargs = [v for v in args if isinstance(v, fe.FpVal)]
         if receiver is not None and isinstance(receiver, fe.FpVal):
             fpargs.insert(0, receiver)
@@ -675,8 +688,16 @@ class _Interp:
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._eval(stmt.iter)
             self._assign(stmt.target, fe.NONFP, None)
-            self._exec_block(stmt.body)
-            self.returned = False  # zero-iteration path exists
+            trips = self._trip_count(stmt.iter)
+            if trips is None:
+                self._exec_block(stmt.body)
+                self.returned = False  # zero-iteration path exists
+            else:
+                # a pin-decided ``range``: unroll it, so a loop that
+                # accumulates (a dot product column by column) is
+                # charged one rounding per trip
+                for _ in range(trips):
+                    self._exec_block(stmt.body)
             self._exec_block(stmt.orelse)
         elif isinstance(stmt, ast.While):
             t = self._decide(stmt.test)
@@ -719,6 +740,19 @@ class _Interp:
             scan = stmt
         if any(isinstance(n, ast.Compare) for n in ast.walk(scan)):
             self._compared_envs |= self._stmt_names(scan) & self.envelopes
+
+    def _trip_count(self, it: ast.AST) -> int | None:
+        """Trip count of ``range(...)`` when the pin decides every
+        argument (``range(1, d)`` at ``d=3`` -> 2) and it is at most
+        ``_MAX_UNROLL``, else None."""
+        if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                and it.func.id == "range" and not it.keywords):
+            return None
+        try:
+            trips = len(range(*(self._const(a) for a in it.args)))
+        except Exception:
+            return None
+        return trips if trips <= _MAX_UNROLL else None
 
     def _exec_if(self, stmt: ast.If) -> None:
         t = self._decide(stmt.test)

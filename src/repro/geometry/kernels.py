@@ -5,8 +5,10 @@ tests* -- "is point q strictly outside the hyperplane of facet t?" --
 the unit Theorem 5.4 counts.  The scalar path evaluates them one
 :func:`~repro.geometry.predicates.orient` call (or one
 :meth:`~repro.geometry.hyperplane.Hyperplane.side` call) at a time;
-this module evaluates whole (facet x candidate-point) blocks in one
-``einsum`` sweep over precomputed cofactor normals.
+this module evaluates whole (facet x candidate-point) blocks at once
+over precomputed cofactor normals: :func:`orient_batch` as one dense
+``einsum``, :func:`visible_flat` as a run-length column sweep over a
+ragged stream.
 
 The fast path is *filtered*, exactly like the scalar predicates: each
 batched margin comes with the same conservative forward error envelope
@@ -28,7 +30,8 @@ Consumers:
 * :func:`batch_planes`, :func:`gather_segments` and
   :func:`visible_flat` -- the building blocks of the conflict-list SoA
   engine (:mod:`repro.hull.soa`, ``engine="soa"``), which decides a
-  whole round's (facet x conflict point) stream in one flat sweep.
+  whole round's (facet x conflict point) stream, grouped by facet as
+  per-facet run lengths, in one flat sweep.
 
 Each hull engine runs exactly one visibility kernel: the object
 engines (``engine="objects"``) the per-facet scalar
@@ -306,91 +309,100 @@ def visible_flat(
     offsets: np.ndarray,
     err_scale: np.ndarray,
     err_base: np.ndarray,
-    owner: np.ndarray,
+    counts: np.ndarray,
     ranks: np.ndarray,
     force_exact: np.ndarray | None = None,
     plane_for=None,
     stats: KernelStats | None = None,
     pts_inf: np.ndarray | None = None,
+    pts_cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Strict-visibility mask for a flat (facet, point) stream.
 
-    ``ranks`` are point ranks into ``pts`` and ``owner[i]`` the row of
-    the plane stack that entry ``i`` is tested against -- the flattened
-    form of a whole round's (ready facet x conflict point) block.  One
-    einsum computes every float margin; entries inside the per-plane
-    error envelope -- plus every entry of a plane flagged in
-    ``force_exact`` (always-exact planes carry no trustworthy float
-    sign) -- are re-decided by the scalar ladder of the materialized
-    :class:`~repro.geometry.hyperplane.Hyperplane` that ``plane_for(k)``
-    returns, so the flat sweep cannot silently disagree with the scalar
-    oracle: identical filter, identical fallback.  ``pts_inf``, when
-    given, must be ``np.abs(pts).max(axis=1)`` -- a caller that sweeps
-    many rounds precomputes it once instead of re-reducing the gathered
-    coordinate block every call.
+    ``ranks`` are point ranks into ``pts``, grouped by plane: plane
+    ``k`` of the stack owns the next ``counts[k]`` entries (runs of
+    length 0 allowed) -- the flattened form of a whole round's (ready
+    facet x conflict point) block.  The sweep runs one coordinate
+    column at a time: every per-plane value is expanded by run length
+    (``np.repeat(col, counts)``) and every point coordinate is a
+    ``take`` from one contiguous column of ``pts_cols`` (``pts``
+    transposed to ``(d, n)``), so no ``(M, d)`` block is ever gathered.
+    Entries inside the per-plane error envelope -- plus every entry of a
+    plane flagged in ``force_exact`` (always-exact planes carry no
+    trustworthy float sign) -- are re-decided by the scalar ladder of
+    the materialized :class:`~repro.geometry.hyperplane.Hyperplane` that
+    ``plane_for(k)`` returns, so the flat sweep cannot silently disagree
+    with the scalar oracle: identical filter, identical fallback.
+    ``pts_inf`` (``np.abs(pts).max(axis=1)``) and ``pts_cols``
+    (``np.ascontiguousarray(pts.T)``), when given, are per-point-set
+    precomputations a caller that sweeps many rounds builds once.
+    Raises ``ValueError`` when ``counts`` does not sum to
+    ``len(ranks)``.
     """
-    # repro: shape: ranks=(M,):int64, owner=(M,):int64
-    # repro: shape: pts_flat=(M,d):float64, margins=(M,):float64
+    # repro: shape: counts=(K,):int64, ranks=(M,):int64
+    # repro: shape: coord=(M,):float64, margins=(M,):float64
     # repro: shape: env=(M,):float64, mask=(M,):bool
     #
     # Filter-boundary admission for `repro fpcheck`: the plane columns
     # arrive with batch_planes' proven error summaries, and the margin
     # sweep must stay inside the same committed envelope (atoms as in
-    # batch_planes; Q = gathered point magnitude |p|_inf):
+    # batch_planes; Q = point magnitude |p|_inf):
     # repro: fp-bound: assume d in 2..3
     # repro: fp-bound: in normals ~ NRM err 6*H
     # repro: fp-bound: in offsets ~ OFF err 6*d*H*B + 2*d^2*NRM*B
     # repro: fp-bound: fact OFF <= d*NRM*B
     # repro: fp-bound: guard env
-    # repro: fp-bound: envelope scale packed env
+    # repro: fp-bound: envelope scale env
+    counts = np.asarray(counts, dtype=np.int64)
+    if int(counts.sum()) != ranks.shape[0]:
+        raise ValueError(
+            f"run lengths sum to {int(counts.sum())}, "
+            f"but the stream has {ranks.shape[0]} entries"
+        )
     if not ranks.size:
         return np.zeros(0, dtype=bool)
     d = pts.shape[1]
-    # repro: fp-bound: in pts ~ Q
-    pts_flat = pts[ranks]
-    # Pack every per-plane scalar the sweep needs into one (K, d+3)
-    # matrix so the per-entry stream costs a *single* wide gather
-    # instead of five separate fancy-indexed passes (normals, offsets,
-    # err_scale, err_base): columns are [normal | offset | scale |
-    # scale*err_base].  K (planes) is small; M (entries) is the round.
-    packed = np.empty((normals.shape[0], d + 3), dtype=np.float64)
-    packed[:, :d] = normals
-    packed[:, d] = offsets
-    scale = _FILTER_SCALE * err_scale
-    packed[:, d + 1] = scale
-    packed[:, d + 2] = scale * err_base
-    g = packed[owner]
-    gn = g[:, :d]    # repro: fp-bound: in gn ~ NRM err 6*H
-    go = g[:, d]     # repro: fp-bound: in go ~ OFF err 6*d*H*B + 2*d^2*NRM*B
-    margins = np.einsum("md,md->m", pts_flat, gn)
-    margins -= go
+    cols = np.ascontiguousarray(pts.T) if pts_cols is None else pts_cols
+    # repro: fp-bound: in cols ~ Q
+    # margins = sum_j p_j * n_j - offset, one coordinate column at a time.
+    margins = cols[0].take(ranks)
+    margins *= np.repeat(normals[:, 0], counts)
+    for j in range(1, d):
+        coord = cols[j].take(ranks)
+        coord *= np.repeat(normals[:, j], counts)
+        margins += coord
+    margins -= np.repeat(offsets, counts)
     # repro: fp-bound: claim margins <= 16*d*(d*d*H + NRM + 1)*(B + Q)
-    q_inf = (np.abs(pts_flat).max(axis=1) if pts_inf is None
-             else pts_inf[ranks])
-    env = g[:, d + 1] * q_inf
-    env += g[:, d + 2]
+    q_inf = (np.abs(cols).max(axis=0) if pts_inf is None else pts_inf).take(ranks)
+    scale = _FILTER_SCALE * err_scale
+    env = np.repeat(scale, counts)
+    env *= q_inf
+    env += np.repeat(scale * err_base, counts)
     mask = margins > env
     # |margins| <= env, with the abs in place: margins' raw values are
     # not needed past this point.
     np.abs(margins, out=margins)
     uncertain = margins <= env
-    if force_exact is not None:
-        forced = force_exact[owner]
+    if force_exact is not None and force_exact.any():
+        forced = np.repeat(force_exact, counts)
         mask &= ~forced
         uncertain |= forced
     n_signs = int(ranks.shape[0])
-    n_fall = int(uncertain.sum())
+    n_fall = int(np.count_nonzero(uncertain))
     STATS.count_float(n_signs)
     if n_fall:
         # Envelope-ambiguous (or forced-exact) entries only: the
         # by-design per-element rational ladder, as in orient_batch.
-        for m in np.nonzero(uncertain)[0]:  # repro: noqa: RPRHOT001
+        # Their planes come from the run bounds, not a per-entry owner.
+        at = np.flatnonzero(uncertain)
+        planes_at = np.searchsorted(np.cumsum(counts), at, side="right")
+        for m, k in zip(at.tolist(), planes_at.tolist()):  # repro: noqa: RPRHOT001
             r = int(ranks[m])
-            mask[m] = plane_for(int(owner[m]))._side_exact(pts[r], r) > 0  # repro: noqa: RPRHOT002
+            mask[m] = plane_for(k)._side_exact(pts[r], r) > 0  # repro: noqa: RPRHOT002
     KERNEL_STATS.count_sweep(n_signs, n_fall)
     if stats is not None:
         stats.count_sweep(n_signs, n_fall)
     observe("repro.geometry.kernels.visible_flat",
-            ranks=ranks, owner=owner, pts_flat=pts_flat,
-            margins=margins, env=env, mask=mask)
+            counts=counts, ranks=ranks, margins=margins, env=env,
+            mask=mask)
     return mask

@@ -52,12 +52,16 @@ The round transaction (all vectorized, no per-facet Python loop):
    rows (or all rows under :func:`~repro.geometry.hyperplane.exact_mode`)
    materialize a real :class:`Hyperplane` via the scalar ladder, so
    degenerate inputs raise / SoS-perturb exactly as the oracle does;
-4. decide all (facet x candidate) visibilities in one flat einsum
-   sweep (:func:`~repro.geometry.kernels.visible_flat`) with the same
-   envelope filter and the same per-entry exact fallback as the
+4. decide all (facet x candidate) visibilities in one run-length
+   column sweep (:func:`~repro.geometry.kernels.visible_flat`): the
+   candidates stay grouped by facet, each plane column is expanded by
+   its run length and each point coordinate is a ``take`` from a
+   contiguous column of the engine's ``(d, n)`` point copy, with the
+   same envelope filter and the same per-entry exact fallback as the
    scalar path;
-5. prefix-sum partition the survivors into the new facets' conflict
-   segments, append to the store and pool, and pair the new ridges.
+5. cut the surviving positions at the run bounds into the new facets'
+   conflict segments, append to the store and pool, and pair the new
+   ridges.
 
 Scalar equivalence is structural, not statistical: any float-certain
 sign is proven by the envelope, every ambiguous sign takes the scalar
@@ -76,7 +80,7 @@ round-synchronous schedule.
 The flat sweep is this engine's one kernel (``kernel="batch"``, the
 default).  A :class:`~repro.geometry.noisy.NoisyKernel` flips its
 answers at the mask level: one ``noisy_masks`` call on the round's
-flat ``(owner, vals, vis)`` stream, grouped by owner, right after
+flat ``(vals, vis)`` stream, split at the per-facet run bounds, right after
 :func:`~repro.geometry.kernels.visible_flat`.  Sites are keyed by
 (facet, rank), so the object engines draw the same flips for the same
 question, and a p=0 noisy run is bit-identical to the unwrapped engine.
@@ -384,6 +388,7 @@ class SoAHullEngine:
         self.interior = pts[: d + 1].mean(axis=0)
         self._interior_inf = float(np.abs(self.interior).max(initial=0.0))
         self._pts_inf = np.abs(pts).max(axis=1)
+        self._pts_cols = np.ascontiguousarray(pts.T)
         combo = tuple(range(d + 1))
         self._interior_combo = (pts[list(combo)], combo)
         self.kstats = KernelStats()
@@ -466,7 +471,6 @@ class SoAHullEngine:
         self,
         new_idx: np.ndarray,       # (K, d) sorted defining ranks
         vals: np.ndarray,          # flat cleaned candidate ranks
-        owner: np.ndarray,         # (len(vals),) row in 0..K-1
         blocks: np.ndarray,        # (K,) candidate counts per row
         support: np.ndarray,       # (K, 2) support fids (-1 for base)
         pivot_point: np.ndarray,   # (K,) creating pivot (-1 for base)
@@ -475,10 +479,9 @@ class SoAHullEngine:
         one visibility sweep, prefix-sum partition into the pool.
         Returns the first new fid."""
         k = int(new_idx.shape[0])
-        surv_vals, surv_owner, cols = self._facets_flat(new_idx, vals, owner, blocks)
+        surv_vals, lens, cols = self._facets_flat(new_idx, vals, blocks)
         normals, offsets, e_scale, e_base, exact_rows = cols
 
-        lens = np.bincount(surv_owner, minlength=k)
         starts_local = np.cumsum(lens) - lens
         pool_start = self.pool.extend(surv_vals)
         pivots = np.full(k, _INF, dtype=np.int64)
@@ -494,8 +497,11 @@ class SoAHullEngine:
         )
         return fid0
 
-    def _facets_flat(self, new_idx, vals, owner, blocks):
-        """Batch planes + one flat einsum sweep (+ the noise layer)."""
+    def _facets_flat(self, new_idx, vals, blocks):
+        """Batch planes + one run-length column sweep over the
+        candidates grouped in ``blocks`` (+ the noise layer); returns
+        the surviving ranks, their per-facet run lengths, and the plane
+        columns."""
         # The filter boundary of the flat path: the orientation margin
         # below must clear the same committed envelope as
         # Hyperplane.through, with the plane bounds flowing out of the
@@ -542,17 +548,18 @@ class SoAHullEngine:
             return plane
 
         vis = visible_flat(
-            self.pts, normals, offsets, e_scale, e_base, owner, vals,
+            self.pts, normals, offsets, e_scale, e_base, blocks, vals,
             force_exact=exact_rows, plane_for=plane_for, stats=self.kstats,
-            pts_inf=self._pts_inf,
+            pts_inf=self._pts_inf, pts_cols=self._pts_cols,
         )
+        bounds = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(blocks, out=bounds[1:])
         if self.noisy is not None:
             # Flip answers after the true mask exists, one facet's block
-            # at a time (vals are grouped by owner, ascending).
-            bounds = np.cumsum(blocks)[:-1]
+            # at a time (vals are grouped by facet, ascending).
             vis = np.concatenate(self.noisy.noisy_masks(
                 list(map(tuple, new_idx.tolist())),
-                np.split(vals, bounds), np.split(vis, bounds),
+                np.split(vals, bounds[1:-1]), np.split(vis, bounds[1:-1]),
             ))
         self.counters.visibility_tests += int(vals.shape[0])
         self.counters.facets_created += k
@@ -563,7 +570,10 @@ class SoAHullEngine:
             zip((fid0 + r for r in ks.tolist()),
                 map(row_planes.__getitem__, ks.tolist()))
         )
-        return vals[vis], owner[vis], (normals, offsets, e_scale, e_base, exact_rows)
+        # Survivor run lengths: the kept positions cut at the run bounds.
+        kept = np.flatnonzero(vis)
+        lens = np.diff(np.searchsorted(kept, bounds))
+        return vals.take(kept), lens, (normals, offsets, e_scale, e_base, exact_rows)
 
     # -- ridge pairing (the multimap M, per round) -------------------------
 
@@ -640,11 +650,10 @@ class SoAHullEngine:
         nb = int(base_rows.shape[0])
         later = np.arange(base, n, dtype=np.int64)
         vals = np.tile(later, nb)
-        owner = np.repeat(np.arange(nb, dtype=np.int64), later.shape[0])
         blocks = np.full(nb, later.shape[0], dtype=np.int64)
         no_sup = np.full((nb, 2), -1, dtype=np.int64)
         no_piv = np.full(nb, -1, dtype=np.int64)
-        fid0 = self._create_block(base_rows, vals, owner, blocks, no_sup, no_piv)
+        fid0 = self._create_block(base_rows, vals, blocks, no_sup, no_piv)
         if int(blocks.sum()):
             self._last_tid = self.tracker.add_batched_sweep(
                 list(map(int, blocks))
@@ -728,38 +737,52 @@ class SoAHullEngine:
 
         # Candidate gather: both parents' conflict segments in two
         # indexed loads, filtered strictly above the pivot, cleaned of
-        # defining ranks, merged and deduped by one lexsort -- exactly
+        # the ridge's ranks, merged and deduped by one sort -- exactly
         # merge_candidates + _clean_candidates for the whole round.
-        pos_a, own_a = gather_segments(
-            self.store.conf_start[t1c], self.store.conf_len[t1c]
-        )
-        pos_b, own_b = gather_segments(
-            self.store.conf_start[t2c], self.store.conf_len[t2c]
-        )
-        vals = np.concatenate([self.pool.buf[pos_a], self.pool.buf[pos_b]])
-        owner = np.concatenate([own_a, own_b])
-        keep = vals > pc[owner]
+        # The pivot filter is structural: pc is t1c's pivot, the first
+        # entry of its ascending segment, and t2c's pivot (the first
+        # entry of its segment) is larger, so "> pc" drops exactly that
+        # first entry -- the fast path merge_candidates takes too.
+        st = self.store
+        la = st.conf_len[t1c] - 1
+        lb = st.conf_len[t2c]
+        pos_a, own_a = gather_segments(st.conf_start[t1c] + 1, la)
+        pos_b, own_b = gather_segments(st.conf_start[t2c], lb)
+        va = self.pool.buf.take(pos_a)
+        vb = self.pool.buf.take(pos_b)
+        ma = int(va.shape[0])
+        # Ridge ranks per entry by run length, one column at a time.
+        keep = np.ones(ma + vb.shape[0], dtype=bool)
         for j in range(self.d - 1):
-            keep &= vals != rc[owner, j]
-        vals, owner = vals[keep], owner[keep]
-        # Group by owner, ascending and unique within each group: one
-        # radix sort of the fused (owner, rank) key (owner < K <= n and
-        # rank < n, so owner*n + rank is collision-free in int64),
-        # then adjacent-equal dedupe on the key itself.
-        fused = owner * np.int64(self.n) + vals
+            keep[:ma] &= va != np.repeat(rc[:, j], la)
+            keep[ma:] &= vb != np.repeat(rc[:, j], lb)
+        # Group by facet, ascending and unique within each group: one
+        # stable sort of the fused (facet, rank) key (facet < K <= n and
+        # rank < n, so facet*n + rank is collision-free in int64) --
+        # two presorted runs, which the stable sort merges -- then
+        # adjacent-equal dedupe on the key itself.
+        n = np.int64(self.n)
+        fused = np.concatenate([own_a, own_b])
+        fused *= n
+        fused[:ma] += va
+        fused[ma:] += vb
+        fused = fused[keep]
         fused.sort(kind="stable")
         if fused.shape[0]:
             keep2 = np.ones(fused.shape[0], dtype=bool)
             np.not_equal(fused[1:], fused[:-1], out=keep2[1:])
             fused = fused[keep2]
-        owner, vals = np.divmod(fused, np.int64(self.n))
-        blocks = np.bincount(owner, minlength=k)
-        # repro: shape: vals=(M,):int64, owner=(M,):int64, blocks=(K,):int64
+        # Block bounds from K searches of the sorted keys; each rank is
+        # its key minus the facet's base, expanded by run length.
+        base = np.arange(k + 1, dtype=np.int64) * n
+        blocks = np.diff(np.searchsorted(fused, base))
+        vals = fused - np.repeat(base[:-1], blocks)
+        # repro: shape: vals=(M,):int64, blocks=(K,):int64
         observe("repro.hull.soa.SoAHullEngine._candidates",
-                vals=vals, owner=owner, blocks=blocks)
+                vals=vals, blocks=blocks)
 
         fid0 = self._create_block(
-            new_idx, vals, owner, blocks,
+            new_idx, vals, blocks,
             support=np.stack([t1c, t2c], axis=1), pivot_point=pc,
         )
         self.store.alive[t1c] = False

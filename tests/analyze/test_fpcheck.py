@@ -62,6 +62,31 @@ def residual(a, b):
 UNDER_CLAIMED_SUM_CLEAN = UNDER_CLAIMED_SUM.replace("0.1*A + 0.1*B",
                                                     "0.5*A + 0.5*B")
 
+# A dot product accumulated one coordinate column at a time, the shape
+# of visible_flat's sweep: ``take`` and ``repeat`` carry their data
+# operand's bounds, and the pin-decided ``range(1, d)`` is unrolled, so
+# each of the d-1 accumulating adds is charged.  4*A*B is the sequential
+# first-order bound at d=3; a walk that ran the body once would derive
+# 2*A*B and let the under-claimed 3*A*B through.
+UNDER_CLAIMED_COLUMN_DOT = '''
+import numpy as np
+
+def column_dot(a, b, idx, counts):
+    # repro: fp-bound: assume d in 3..3
+    # repro: fp-bound: in a ~ A
+    # repro: fp-bound: in b ~ B
+    d = a.shape[0]
+    s = a[0].take(idx)
+    s *= np.repeat(b[:, 0], counts)
+    for j in range(1, d):
+        s += a[j].take(idx) * np.repeat(b[:, j], counts)
+    # repro: fp-bound: claim s <= 3*A*B
+    return s
+'''
+
+UNDER_CLAIMED_COLUMN_DOT_CLEAN = UNDER_CLAIMED_COLUMN_DOT.replace(
+    "3*A*B", "4*A*B")
+
 
 class TestEnvelopeUnderDerived:
     def test_pr3_regression_flagged(self):
@@ -76,6 +101,12 @@ class TestEnvelopeUnderDerived:
     def test_under_claimed_arithmetic(self):
         assert _rules(_run(UNDER_CLAIMED_SUM)) == ["RPRFP001"]
         assert _rules(_run(UNDER_CLAIMED_SUM_CLEAN)) == []
+
+    def test_column_loop_unrolled_per_trip(self):
+        r = _run(UNDER_CLAIMED_COLUMN_DOT)
+        assert _rules(r) == ["RPRFP001"]
+        assert "4*A*B" in r.findings[0].message
+        assert _rules(_run(UNDER_CLAIMED_COLUMN_DOT_CLEAN)) == []
 
     def test_claim_recorded_both_ways(self):
         bad = _run(UNDER_CLAIMED_SUM)

@@ -189,12 +189,18 @@ class TestMarginSweeps:
         normals, offsets, e_scale, e_base = batch_planes(sims)
         atoms = _plane_atoms(sims, normals, offsets, e_base)
         nf, nq = sims.shape[0], qs.shape[0]
+        counts = np.full(nf, nq)
         owner = np.repeat(np.arange(nf), nq)
         ranks = np.tile(np.arange(nq), nf)
-        # visible_flat's gathered sweep, operand for operand.
-        gn = normals[owner]
-        go = offsets[owner]
-        margins = np.einsum("md,md->m", qs[ranks], gn) - go
+        # visible_flat's run-length column sweep, operand for operand.
+        cols = np.ascontiguousarray(qs.T)
+        margins = cols[0].take(ranks)
+        margins *= np.repeat(normals[:, 0], counts)
+        for j in range(1, d):
+            coord = cols[j].take(ranks)
+            coord *= np.repeat(normals[:, j], counts)
+            margins += coord
+        margins -= np.repeat(offsets, counts)
         c = _claim("kernels.visible_flat", "margins", d)
         for m in range(margins.shape[0]):
             fi, qi = int(owner[m]), int(ranks[m])

@@ -133,15 +133,15 @@ def scale(a, w):
 '''
 
 UNACCOUNTED_SWEEP = '''
-def sweep_all(pts, planes, owner, ranks):
+def sweep_all(pts, planes, counts, ranks):
     # repro: hot-entry
-    return visible_flat(pts, *planes, owner, ranks)
+    return visible_flat(pts, *planes, counts, ranks)
 '''
 
 ACCOUNTED_SWEEP_CLEAN = '''
-def sweep_all(pts, planes, owner, ranks, tracker):
+def sweep_all(pts, planes, counts, ranks, tracker):
     # repro: hot-entry
-    out = visible_flat(pts, *planes, owner, ranks)
+    out = visible_flat(pts, *planes, counts, ranks)
     tracker.add_batched_sweep(len(out))
     return out
 '''
